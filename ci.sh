@@ -1,19 +1,22 @@
 #!/usr/bin/env bash
 # Tier-1 verification, five legs: a plain build (plus the golden study
-# digest assertion and the telemetry ns/op budget gate), a
-# warnings-as-errors build, an address+UB-sanitized one, a thread-sanitized
-# build that runs the Sharding-labeled tests (the telemetry registry/tracer
-# hammer, the sharded-cloud hammer, the router/cloud suites, and the
-# parallel deployment study) together with the SchedulerPerf battery (the
-# batched sensing hot loop raced across 8 workers), the Concurrency battery
-# (striped counters / sharded histograms / metric handles), and the
-# Alerting battery (recorder + alert engine), and a chaos leg that re-runs
-# the Robustness-labeled fault/outbox/breaker tests under asan together
-# with Caching, Alerting, and the Population streaming-runner battery.
-# The golden-digest gate runs both study runners (materialized and
-# streaming) against tests/golden/study_digest.txt, then again under the
-# pinned device-chaos plan (crash/restart injection, privacy wipes, late
-# joins) against tests/golden/study_digest_crash.txt.
+# digest gates, a deployment-bench smoke run, and the telemetry ns/op
+# budget gate), a warnings-as-errors build, an address+UB-sanitized one, a
+# thread-sanitized build that runs the Sharding-labeled tests (the
+# telemetry registry/tracer hammer, the sharded-cloud hammer, the
+# router/cloud suites, and the parallel deployment study) together with
+# the SchedulerPerf battery (the batched sensing hot loop raced across 8
+# workers), the Concurrency battery (striped counters / sharded histograms
+# / metric handles), and the Alerting battery (recorder + alert engine),
+# and a chaos leg that re-runs the Robustness-labeled fault/outbox/breaker
+# tests under asan together with Caching, Alerting, and the Population
+# study-runner battery.
+# The golden-digest gate runs studyctl once against
+# tests/golden/study_digest.txt, then once under the pinned device-chaos
+# plan (crash/restart injection, privacy wipes, late joins) against
+# tests/golden/study_digest_crash.txt. ctest checks both goldens too
+# (Population.GoldenStudyReproducesKnownAnswer,
+# Lifecycle.CrashedStudyIsDeterministicAcrossShapes).
 # Usage: ./ci.sh [extra cmake args...]
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -42,40 +45,38 @@ run_suite build "" "$@"
 # also proves telemetry never perturbs the study.
 echo "=== golden study digest (telemetry fully enabled) ==="
 golden_digest="$(cat tests/golden/study_digest.txt)"
-# Both runners must reproduce the committed digest: materialized is the
-# historical reference, streaming is the bounded-memory production path.
-for runner in materialized streaming; do
-  actual_digest="$(./build/examples/studyctl --participants 4 --days 3 \
-      --threads 2 --shards 4 --runner "${runner}" --progress 2>/dev/null |
-    sed -n 's/^cloud content digest: //p')"
-  if [[ "${actual_digest}" != "${golden_digest}" ]]; then
-    echo "golden digest mismatch (${runner} runner): got" \
-         "'${actual_digest}', expected '${golden_digest}'" >&2
-    exit 1
-  fi
-  echo "study digest ${actual_digest} matches golden (${runner} runner)"
-done
+actual_digest="$(./build/examples/studyctl --participants 4 --days 3 \
+    --threads 2 --shards 4 --progress 2>/dev/null |
+  sed -n 's/^cloud content digest: //p')"
+if [[ "${actual_digest}" != "${golden_digest}" ]]; then
+  echo "golden digest mismatch: got '${actual_digest}'," \
+       "expected '${golden_digest}'" >&2
+  exit 1
+fi
+echo "study digest ${actual_digest} matches golden"
 
 # Crashed-study golden gate: the same study under a pinned device-lifecycle
 # chaos plan (mid-day crashes with checkpoint/restore recovery, end-of-day
-# privacy wipes, late joins) must also stay byte-identical across runners
-# and shapes — crash/restart scheduling rides the same deterministic RNG
-# contract as the healthy path.
+# privacy wipes, late joins) must also stay byte-identical — crash/restart
+# scheduling rides the same deterministic RNG contract as the healthy path.
 echo "=== golden study digest (device chaos plan) ==="
 crash_plan="crash=0d..2d,crash_rate=0.5,restart_delay=2h;wipe=1d..2d,wipe_rate=0.5;join=0d..2d,join_rate=0.5"
 crash_golden="$(cat tests/golden/study_digest_crash.txt)"
-for runner in materialized streaming; do
-  actual_digest="$(./build/examples/studyctl --participants 4 --days 3 \
-      --threads 2 --shards 4 --runner "${runner}" \
-      --fault-plan "${crash_plan}" 2>/dev/null |
-    sed -n 's/^cloud content digest: //p')"
-  if [[ "${actual_digest}" != "${crash_golden}" ]]; then
-    echo "crashed-study digest mismatch (${runner} runner): got" \
-         "'${actual_digest}', expected '${crash_golden}'" >&2
-    exit 1
-  fi
-  echo "crashed-study digest ${actual_digest} matches golden (${runner} runner)"
-done
+actual_digest="$(./build/examples/studyctl --participants 4 --days 3 \
+    --threads 2 --shards 4 --fault-plan "${crash_plan}" 2>/dev/null |
+  sed -n 's/^cloud content digest: //p')"
+if [[ "${actual_digest}" != "${crash_golden}" ]]; then
+  echo "crashed-study digest mismatch: got '${actual_digest}'," \
+       "expected '${crash_golden}'" >&2
+  exit 1
+fi
+echo "crashed-study digest ${actual_digest} matches golden"
+
+# Deployment-bench smoke run: the bench only measures (ctest asserts its
+# results), so this just keeps it running end to end — a crash or a
+# non-zero exit fails CI.
+echo "=== deployment bench smoke run ==="
+./build/bench/bench_deployment_study --threads 1 --max-pop 16 >/dev/null
 
 # Telemetry budget gate: 8 threads hammer the metric hot paths; asserts
 # exact totals, the lock-free handle path beating the registry-lookup path,
@@ -97,7 +98,7 @@ run_suite build-asan "" -DPMWARE_SANITIZE="address;undefined" "$@"
 # determinism guard. Population races the streaming wave scheduler's
 # workers against the shared fold state and slot arenas. Lifecycle races
 # the crashed-study determinism battery (checkpoint/restore and churn
-# across shards x threads x runners).
+# across shards x threads x cache).
 run_suite build-tsan "-L Sharding|Caching|SchedulerPerf|Concurrency|Alerting|Population|Lifecycle" -DPMWARE_SANITIZE="thread" "$@"
 # Chaos leg: the fault-injection / outbox / circuit-breaker battery again
 # under asan+ubsan, isolated so failures point straight at the recovery

@@ -53,8 +53,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--participants N] [--days D] [--seed S]\n"
-               "          [--threads T] [--shards N]\n"
-               "          [--runner auto|materialized|streaming] [--wave N]\n"
+               "          [--threads T] [--shards N] [--wave N]\n"
                "          [--region india|switzerland]\n"
                "          [--no-wifi] [--no-ads] [--cache on|off]\n"
                "          [--fault-plan SPEC]  (e.g. \"outage=5d..8d\")\n"
@@ -139,17 +138,6 @@ int main(int argc, char** argv) {
         config.cache = true;
       else if (std::strcmp(v, "off") == 0)
         config.cache = false;
-      else
-        return usage(argv[0]);
-    } else if (arg == "--runner") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      if (std::strcmp(v, "auto") == 0)
-        config.runner = study::RunnerMode::Auto;
-      else if (std::strcmp(v, "materialized") == 0)
-        config.runner = study::RunnerMode::Materialized;
-      else if (std::strcmp(v, "streaming") == 0)
-        config.runner = study::RunnerMode::Streaming;
       else
         return usage(argv[0]);
     } else if (arg == "--wave") {

@@ -269,7 +269,7 @@ class CloudStorage {
   };
 
   /// Locks one shard, recording the per-shard request counter and the
-  /// lock-wait histogram (contention visibility for the shard sweep).
+  /// lock-wait histogram (contention visibility).
   std::unique_lock<std::mutex> lock_shard(std::size_t s) const;
 
   /// Every shard lock, ascending — the cross-shard snapshot path.

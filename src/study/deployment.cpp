@@ -14,7 +14,6 @@
 #include "telemetry/alerts.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
-#include "telemetry/log.hpp"
 #include "util/strfmt.hpp"
 
 namespace pmware::study {
@@ -113,8 +112,7 @@ void fold_stats(core::PmsStats& into, const core::PmsStats& s, bool dead) {
 
 ParticipantResult DeploymentStudy::run_participant(
     const mobility::Participant& participant, cloud::CloudInstance& cloud,
-    Rng& rng, std::vector<PlaceMapEntry>* place_map, util::Arena* arena,
-    bool retire) {
+    Rng& rng, std::vector<PlaceMapEntry>* place_map, util::Arena* arena) {
   telemetry::Span span(telemetry::tracer(),
                        "study.participant." + participant.name, 0);
   Rng trace_rng = rng.fork(1);
@@ -368,12 +366,10 @@ ParticipantResult DeploymentStudy::run_participant(
     }
   }
 
-  // Streaming retirement: the participant is fully synced and evaluated —
-  // fold its cloud record into the archived accumulators (digest and stats
+  // Retirement: the participant is fully synced and evaluated — fold its
+  // cloud record into the archived accumulators (digest and stats
   // invariant) so the live store only ever holds the active wave.
-  if (retire) {
-    if (const auto uid = pms->user_id()) cloud.storage().archive_user(*uid);
-  }
+  if (const auto uid = pms->user_id()) cloud.storage().archive_user(*uid);
   return result;
 }
 
@@ -420,110 +416,14 @@ void DeploymentStudy::configure_telemetry() {
 }
 
 StudyResult DeploymentStudy::run() {
-  switch (config_.runner) {
-    case RunnerMode::Materialized:
-      return run_materialized();
-    case RunnerMode::Streaming:
-      return run_streaming(config_.participants <= kDetailThreshold);
-    case RunnerMode::Auto:
-      break;
-  }
-  // Auto: the streaming runner is the default everywhere (its digest is
-  // byte-identical to the materialized reference); per-participant detail
-  // is kept while the population is small enough to afford it.
-  return run_streaming(config_.participants <= kDetailThreshold);
-}
-
-StudyResult DeploymentStudy::run_materialized() {
   configure_telemetry();
+  // Small studies keep per-participant results and the place map.
+  const bool detail = config_.participants <= kDetailThreshold;
 
-  Rng participants_rng = rng_.fork(2);
-  const std::vector<mobility::Participant> participants =
-      mobility::make_participants(*world_, config_.participants,
-                                  participants_rng);
-
-  cloud::GeoLocationService geoloc(world_->cell_location_db());
-  geoloc.set_ap_db(world_->ap_location_db());
-  cloud::CloudConfig cloud_config;
-  cloud_config.shards = static_cast<std::size_t>(std::max(config_.shards, 1));
-  cloud_config.fault_plan = config_.fault_plan;
-  cloud_config.cache = config_.cache;
-  cloud::CloudInstance cloud(cloud_config, std::move(geoloc), rng_.fork(3));
-
-  telemetry::registry()
-      .gauge("study_participants", {}, "participants in the deployment study")
-      .set(static_cast<double>(participants.size()));
-
-  // Fork every participant's RNG up front, in participant order: forking
-  // draws from rng_, so doing it on workers would make the streams depend
-  // on scheduling. After this loop workers never touch rng_.
-  std::vector<Rng> rngs;
-  rngs.reserve(participants.size());
-  for (const auto& participant : participants)
-    rngs.push_back(rng_.fork(1000 + participant.id));
-
-  StudyResult result;
-  result.participants.resize(participants.size());
-  // Per-participant place-map segments, merged in participant order below
-  // so the final map is independent of completion order.
-  std::vector<std::vector<PlaceMapEntry>> maps(participants.size());
-
-  const int threads =
-      std::clamp(config_.threads, 1, static_cast<int>(participants.size()));
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < participants.size(); ++i)
-      result.participants[i] = run_participant(
-          participants[i], cloud, rngs[i], &maps[i], nullptr, false);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::exception_ptr failure;
-    std::mutex failure_mu;
-    auto worker = [&] {
-      while (true) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= participants.size()) return;
-        try {
-          result.participants[i] = run_participant(
-              participants[i], cloud, rngs[i], &maps[i], nullptr, false);
-        } catch (...) {
-          const std::scoped_lock lock(failure_mu);
-          if (!failure) failure = std::current_exception();
-        }
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-    if (failure) std::rethrow_exception(failure);
-  }
-
-  // Workers have joined; snapshot the cloud's end state for the
-  // determinism fingerprint.
-  result.storage_stats = cloud.storage().stats();
-  result.storage_digest = cloud.storage().content_digest();
-
-  for (std::size_t i = 0; i < participants.size(); ++i) {
-    const ParticipantResult& r = result.participants[i];
-    result.totals.fold(r);
-    result.cohorts[participants[i].archetype].fold(r);
-    result.place_map.insert(result.place_map.end(), maps[i].begin(),
-                            maps[i].end());
-    telemetry::slog_info("study", start_of_day(config_.days),
-                         "%s: %zu places, %zu tagged, %s",
-             participants[i].name.c_str(), r.places_discovered,
-             r.places_tagged, r.eval.summary().c_str());
-  }
-  return result;
-}
-
-StudyResult DeploymentStudy::run_streaming(bool detail) {
-  configure_telemetry();
-
-  // The rng_ draw order is the materialized runner's exactly: fork(2) for
-  // the participant stream, fork(3) for the cloud, then fork(1000 + id) in
-  // ascending id order — waves are admitted in order, so wave-by-wave
-  // forking reproduces the up-front fork sequence draw for draw.
+  // The rng_ draw order is fixed: fork(2) for the participant stream,
+  // fork(3) for the cloud, then fork(1000 + id) in ascending id order —
+  // waves are admitted in order, so no fork depends on the wave size or
+  // on thread scheduling.
   Rng participants_rng = rng_.fork(2);
   mobility::ParticipantStream stream(*world_, participants_rng);
 
@@ -595,7 +495,7 @@ StudyResult DeploymentStudy::run_streaming(bool detail) {
               wave[static_cast<std::size_t>(k)], cloud,
               wave_rngs[static_cast<std::size_t>(k)],
               detail ? &wave_maps[static_cast<std::size_t>(k)] : nullptr,
-              arenas[static_cast<std::size_t>(slot)].get(), true);
+              arenas[static_cast<std::size_t>(slot)].get());
           // The participant retired (PMS destroyed, cloud record archived):
           // recycle the slot's warm allocation footprint.
           arenas[static_cast<std::size_t>(slot)]->reset();

@@ -24,24 +24,6 @@
 
 namespace pmware::study {
 
-/// Which study runner executes the participants.
-///
-///  * Materialized — the historical runner: every participant profile, RNG
-///    and result is built up front and kept for the whole run. O(N) memory;
-///    the reference implementation the streaming runner is differentially
-///    tested against.
-///  * Streaming — wave-scheduled: participants are constructed on first
-///    touch, run their sim-days, sync, and retire (their cloud record is
-///    folded into the archived accumulators) before the next wave is
-///    admitted. Peak memory is O(threads + wave), not O(N) — this is what
-///    makes a 100k-participant study fit in bounded memory. The cloud
-///    content digest is byte-identical to Materialized at any
-///    threads x shards x cache x fault-plan combination.
-///  * Auto — Streaming, keeping per-participant results and the place map
-///    while the population is small enough to afford them (N <= 256) and
-///    switching to slot-scoped aggregate-only collection above.
-enum class RunnerMode : std::uint8_t { Auto, Materialized, Streaming };
-
 struct StudyConfig {
   int participants = 16;
   int days = 14;
@@ -73,7 +55,7 @@ struct StudyConfig {
   /// threads > 1.
   int shards = static_cast<int>(cloud::CloudStorage::kDefaultShards);
   /// Scripted cloud-side failures (CloudConfig::fault_plan; --fault-plan in
-  /// studyctl/bench). Science results and the final cloud content digest
+  /// studyctl). Science results and the final cloud content digest
   /// are identical to a no-fault run once the outbox drains — that
   /// recovery-equivalence invariant is asserted in tests/test_study.cpp.
   net::FaultPlan fault_plan;
@@ -83,11 +65,11 @@ struct StudyConfig {
   /// Per-participant store-and-forward outbox bound.
   core::OutboxConfig outbox;
   /// Content-addressed caching on both sides of the wire (--cache in
-  /// studyctl/bench): device + cloud GCA offload caches, the cloud-side
+  /// studyctl): device + cloud GCA offload caches, the cloud-side
   /// analytics result cache, and the client's conditional-GET (ETag /
   /// If-None-Match) cache. Science results and the cloud content digest
-  /// are byte-identical on/off — caching only removes work — which the
-  /// cache_sweep bench and tests/test_cache.cpp assert.
+  /// are byte-identical on/off — caching only removes work — which
+  /// tests/test_cache.cpp asserts.
   bool cache = true;
   /// Sim-time series recorder settings (--no-timeseries in studyctl). The
   /// study samples the default counter/gauge families once per interval of
@@ -100,10 +82,6 @@ struct StudyConfig {
   /// Evaluate the default SLO alert rules at every timeseries sample
   /// (--no-alerts in studyctl). Same determinism guarantee as above.
   bool alerts = true;
-  /// Runner selection (--runner in studyctl). Results — science numbers and
-  /// the cloud content digest — are byte-identical across runners; the
-  /// choice only trades memory for per-participant detail.
-  RunnerMode runner = RunnerMode::Auto;
   /// Streaming wave size (--wave in studyctl): participants admitted per
   /// scheduling epoch. 0 = auto (4 per worker thread, min 16). Any value
   /// yields identical results; it only bounds how many participant
@@ -133,7 +111,7 @@ struct ParticipantResult {
 };
 
 /// Commutatively folded aggregate of ParticipantResults — what the
-/// streaming runner keeps instead of the per-participant vector. One
+/// runner keeps instead of the per-participant vector. One
 /// instance serves as the whole-study total and one per archetype cohort.
 struct CohortStats {
   std::uint64_t participants = 0;
@@ -155,18 +133,18 @@ struct CohortStats {
 };
 
 struct StudyResult {
-  /// Per-participant detail. Populated by the materialized runner and by
-  /// streaming runs small enough to afford it; EMPTY in aggregate-only
-  /// streaming runs (the totals below carry the study numbers there).
+  /// Per-participant detail. Populated while the population is at most
+  /// DeploymentStudy::kDetailThreshold; EMPTY in larger, aggregate-only
+  /// runs (the totals below carry the study numbers there).
   std::vector<ParticipantResult> participants;
   std::vector<PlaceMapEntry> place_map;
-  /// Folded aggregates — filled by every runner, so total_*()/summary()
-  /// read identically whether or not per-participant detail was kept.
+  /// Folded aggregates — always filled, so total_*()/summary() read
+  /// identically whether or not per-participant detail was kept.
   CohortStats totals;
   std::map<mobility::Archetype, CohortStats> cohorts;
   /// Post-join snapshot of the cloud storage: aggregate record counts and
   /// the order-independent content digest — the determinism fingerprint
-  /// that must match across thread and shard counts (and runners).
+  /// that must match across thread, shard, and wave counts.
   cloud::CloudStorage::Stats storage_stats;
   std::uint64_t storage_digest = 0;
 
@@ -184,14 +162,19 @@ struct StudyResult {
 
 class DeploymentStudy {
  public:
-  /// Auto-runner boundary: streaming studies at or below this population
-  /// keep per-participant results and the place map; larger ones collect
+  /// Detail boundary: studies at or below this population keep
+  /// per-participant results and the place map; larger ones collect
   /// aggregates only (CohortStats + storage fingerprint).
   static constexpr int kDetailThreshold = 256;
 
   explicit DeploymentStudy(StudyConfig config);
 
   /// Runs the full study (deterministic for a given config).
+  ///
+  /// Participants are admitted in waves: each is constructed on first
+  /// touch, runs its sim-days, syncs, and retires (its cloud record is
+  /// folded into the archived accumulators) before the next wave is
+  /// admitted, so peak memory is O(threads + wave), not O(N).
   StudyResult run();
 
   const world::World& world() const { return *world_; }
@@ -207,22 +190,16 @@ class DeploymentStudy {
   }
 
  private:
-  /// Simulates one participant end to end. `place_map` may be null
-  /// (aggregate-only collection skips the Figure-5b inventory), `arena`
-  /// may be null (heap-backed engine logs), and `retire` folds the
-  /// participant's cloud record into the archived accumulators after the
-  /// final sync — the streaming runner's memory-release step.
+  /// Simulates one participant end to end, then retires it: its cloud
+  /// record is folded into the archived accumulators after the final sync.
+  /// `place_map` may be null (aggregate-only collection skips the
+  /// Figure-5b inventory) and `arena` may be null (heap-backed engine
+  /// logs).
   ParticipantResult run_participant(const mobility::Participant& participant,
                                     cloud::CloudInstance& cloud, Rng& rng,
                                     std::vector<PlaceMapEntry>* place_map,
-                                    util::Arena* arena, bool retire);
-  /// The historical materialize-everything runner (the differential-oracle
-  /// reference for the streaming runner).
-  StudyResult run_materialized();
-  /// Wave-scheduled bounded-memory runner; `detail` keeps per-participant
-  /// results and the place map.
-  StudyResult run_streaming(bool detail);
-  /// Shared prologue: telemetry recorder/alert setup.
+                                    util::Arena* arena);
+  /// run()'s prologue: telemetry recorder/alert setup.
   void configure_telemetry();
   /// Called by workers after each completed participant-day: bumps the
   /// progress counter, advances fleet sim-time, and lets the recorder /

@@ -74,8 +74,11 @@ std::string diagnostics_summary(const Tracer& tracer,
 /// deployment-study "chaos_sweep" block (device-lifecycle chaos: crash/
 /// restart injection, privacy wipes, and late joins, with determinism
 /// digests per shards x threads x cache x runner shape, wipe-tombstone
-/// counters, and checkpoint-size / restore-latency distributions).
-inline constexpr int kBenchSchemaVersion = 9;
+/// counters, and checkpoint-size / restore-latency distributions), 10 =
+/// drops the deployment-study shard_sweep, fault_sweep, cache_sweep,
+/// scheduler_sweep, chaos_sweep, and throughput blocks (ctest asserts what
+/// they checked) and moves participant-days/sec into "thread_scaling".
+inline constexpr int kBenchSchemaVersion = 10;
 
 /// Reproducibility metadata embedded in every BENCH_*.json, so the perf
 /// trajectory stays comparable across PRs. Zero fields mean "not

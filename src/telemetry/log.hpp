@@ -1,5 +1,5 @@
-// Structured leveled logging: the telemetry-grade replacement for the
-// ad-hoc util/logging stderr printfs.
+// Structured leveled logging on top of util/logging's threshold and
+// stderr writer.
 //
 // Every record is dual-clock stamped (sim time from the caller, wall time
 // from the system clock) and trace-correlated: the logger asks the tracer
@@ -75,9 +75,9 @@ class Logger {
 /// The process-wide logger, sibling of registry() and tracer().
 Logger& logger();
 
-/// Sim-time-stamped printf-style entry points. These supersede util/logging's
-/// log_* helpers at middleware call sites: same stderr output, plus ring
-/// retention and trace correlation.
+/// Sim-time-stamped printf-style entry points — the project's one logging
+/// API. Each record goes to the ring, is trace-correlated, and is mirrored
+/// to stderr through util/logging's log_line.
 #if defined(__GNUC__)
 #define PMWARE_TLOG_PRINTF(a, b) __attribute__((format(printf, a, b)))
 #else

@@ -1,4 +1,5 @@
-// Lightweight leveled logger.
+// Process-wide log threshold and the stderr line writer behind
+// telemetry::Logger (telemetry/log.hpp), which is the API call sites use.
 //
 // Default level is Warn so tests and benches stay quiet; examples raise it
 // to Info to narrate the middleware's behaviour.
@@ -6,8 +7,6 @@
 
 #include <string>
 #include <string_view>
-
-#include "util/strfmt.hpp"
 
 namespace pmware {
 
@@ -19,22 +18,5 @@ LogLevel log_level();
 
 /// Writes one line to stderr if `level` passes the threshold.
 void log_line(LogLevel level, std::string_view component, std::string_view msg);
-
-#if defined(__GNUC__)
-#define PMWARE_PRINTF(a, b) __attribute__((format(printf, a, b)))
-#else
-#define PMWARE_PRINTF(a, b)
-#endif
-
-PMWARE_PRINTF(2, 3)
-void log_debug(const char* component, const char* fmt, ...);
-PMWARE_PRINTF(2, 3)
-void log_info(const char* component, const char* fmt, ...);
-PMWARE_PRINTF(2, 3)
-void log_warn(const char* component, const char* fmt, ...);
-PMWARE_PRINTF(2, 3)
-void log_error(const char* component, const char* fmt, ...);
-
-#undef PMWARE_PRINTF
 
 }  // namespace pmware

@@ -1,5 +1,8 @@
 #include "algorithms/evaluate.hpp"
 
+#include <array>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace pmware::algorithms {
@@ -157,6 +160,10 @@ TEST(Evaluate, OutcomeNames) {
 struct ThresholdCase {
   SimDuration overlap;
   bool linked;
+  // gtest prints this struct byte by byte into each case's ctest name. The
+  // padding after `linked` is named so it is zeroed; left implicit it held
+  // stack garbage and the names changed from run to run.
+  std::array<std::uint8_t, 7> padding{};
 };
 
 class LinkThresholdSweep : public ::testing::TestWithParam<ThresholdCase> {};

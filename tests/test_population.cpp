@@ -1,7 +1,8 @@
-// Population-scale streaming runner tests: the differential oracle against
-// the materialized runner, wave-boundary edge cases, retirement /
-// rehydration round-trips, the bounded-memory guarantee, the
-// instance-label O(N) regression guard, and the arena allocator itself.
+// Population-scale study runner tests: the known-answer golden study,
+// parallel and multi-wave runs against a sequential single-wave oracle,
+// wave-boundary edge cases, retirement / rehydration round-trips, the
+// bounded-memory guarantee, the instance-label O(N) regression guard, and
+// the arena allocator itself.
 //
 // Small configurations keep the suite fast; the full 1k..100k sweep runs
 // in bench_deployment_study's population_sweep block.
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,18 +37,25 @@ constexpr bool kSanitized = false;
 constexpr bool kSanitized = false;
 #endif
 
-StudyConfig small_config(RunnerMode runner) {
+/// The golden study shape (ci.sh runs the same one through studyctl).
+StudyConfig small_config() {
   StudyConfig config;
   config.participants = 4;
   config.days = 3;
   config.threads = 2;
   config.shards = 4;
-  config.runner = runner;
   return config;
 }
 
-/// Byte-identical comparison of a streaming run against the materialized
-/// oracle: per-participant detail, the place map, the cloud stats, and the
+/// The oracle for `config`: the same study run sequentially in one wave.
+StudyResult sequential_oracle(StudyConfig config) {
+  config.threads = 1;
+  config.wave_size = config.participants;
+  return DeploymentStudy(config).run();
+}
+
+/// Byte-identical comparison of a run against the sequential oracle:
+/// per-participant detail, the place map, the cloud stats, and the
 /// order-independent content digest.
 void expect_matches_oracle(const StudyResult& oracle, const StudyResult& run,
                            const std::string& what) {
@@ -85,25 +94,43 @@ void expect_matches_oracle(const StudyResult& oracle, const StudyResult& run,
   EXPECT_EQ(oracle.storage_digest, run.storage_digest);
 }
 
-// The tentpole differential oracle: the streaming runner (which constructs,
-// runs, syncs, and retires each participant inside a wave) is byte-identical
-// to the materialize-everything reference — same science table, same place
-// map, same cloud content digest.
-TEST(Population, StreamingMatchesMaterializedOracle) {
-  const StudyResult oracle =
-      DeploymentStudy(small_config(RunnerMode::Materialized)).run();
+// Known answer: the golden study reproduces the committed content digest
+// and the §4 totals recorded for it.
+TEST(Population, GoldenStudyReproducesKnownAnswer) {
+  std::ifstream golden(std::string(PMWARE_GOLDEN_DIR) + "/study_digest.txt");
+  std::uint64_t digest = 0;
+  ASSERT_TRUE(golden >> digest);
+  const StudyResult run = DeploymentStudy(small_config()).run();
+  EXPECT_EQ(run.storage_digest, digest);
+  EXPECT_EQ(run.total_discovered(), 21u);
+  EXPECT_EQ(run.total_tagged(), 19u);
+  EXPECT_EQ(run.total_evaluable(), 15u);
+  EXPECT_EQ(run.total(algorithms::DiscoveredOutcome::Correct), 14u);
+  EXPECT_EQ(run.total(algorithms::DiscoveredOutcome::Merged), 1u);
+  EXPECT_EQ(run.total(algorithms::DiscoveredOutcome::Divided), 0u);
+  EXPECT_EQ(run.total_likes(), 30u);
+  EXPECT_EQ(run.total_dislikes(), 12u);
+}
+
+// Workers and waves never change results: a parallel run (which constructs,
+// runs, syncs, and retires each participant inside a wave) and a
+// one-participant-per-wave run are byte-identical to the sequential
+// single-wave oracle — same science table, same place map, same cloud
+// content digest.
+TEST(Population, ParallelRunMatchesSequentialOracle) {
+  const StudyResult oracle = sequential_oracle(small_config());
   EXPECT_NE(oracle.storage_digest, 0u);
-  const StudyResult streaming =
-      DeploymentStudy(small_config(RunnerMode::Streaming)).run();
-  expect_matches_oracle(oracle, streaming, "streaming vs materialized");
-  const StudyResult automatic =
-      DeploymentStudy(small_config(RunnerMode::Auto)).run();
-  expect_matches_oracle(oracle, automatic, "auto vs materialized");
+  const StudyResult parallel = DeploymentStudy(small_config()).run();
+  expect_matches_oracle(oracle, parallel, "2 threads vs sequential");
+  StudyConfig one_per_wave = small_config();
+  one_per_wave.wave_size = 1;
+  const StudyResult waves = DeploymentStudy(one_per_wave).run();
+  expect_matches_oracle(oracle, waves, "wave=1 vs sequential");
 }
 
 // Wave boundaries must never shift results: populations that don't divide
 // the wave size, fewer participants than worker threads, and the N=1
-// degenerate wave all reproduce the oracle digest.
+// degenerate wave all reproduce the sequential oracle.
 TEST(Population, WaveBoundariesNeverChangeResults) {
   const struct {
     int participants, days, threads, wave;
@@ -119,12 +146,10 @@ TEST(Population, WaveBoundariesNeverChangeResults) {
     config.days = c.days;
     config.threads = c.threads;
     config.wave_size = c.wave;
-    config.runner = RunnerMode::Materialized;
-    const StudyResult oracle = DeploymentStudy(config).run();
-    config.runner = RunnerMode::Streaming;
-    const StudyResult streaming = DeploymentStudy(config).run();
+    const StudyResult oracle = sequential_oracle(config);
+    const StudyResult run = DeploymentStudy(config).run();
     expect_matches_oracle(
-        oracle, streaming,
+        oracle, run,
         "N=" + std::to_string(c.participants) +
             " threads=" + std::to_string(c.threads) +
             " wave=" + std::to_string(c.wave));
@@ -138,7 +163,6 @@ TEST(Population, WaveSizeIsAPureMemoryKnob) {
   config.participants = 6;
   config.days = 2;
   config.threads = 2;
-  config.runner = RunnerMode::Streaming;
   std::uint64_t first_digest = 0;
   for (const int wave : {1, 2, 5, 64}) {
     config.wave_size = wave;
@@ -151,7 +175,7 @@ TEST(Population, WaveSizeIsAPureMemoryKnob) {
   EXPECT_NE(first_digest, 0u);
 }
 
-// Above the detail threshold the streaming runner keeps aggregates only:
+// Above the detail threshold the runner keeps aggregates only:
 // no per-participant vector, no place map, but the totals and cohort
 // tables still carry the whole study.
 TEST(Population, AggregateModeDropsDetailButKeepsTotals) {
@@ -159,7 +183,6 @@ TEST(Population, AggregateModeDropsDetailButKeepsTotals) {
   config.participants = DeploymentStudy::kDetailThreshold + 4;
   config.days = 1;
   config.threads = 2;
-  config.runner = RunnerMode::Auto;
   const StudyResult run = DeploymentStudy(config).run();
   EXPECT_TRUE(run.participants.empty());
   EXPECT_TRUE(run.place_map.empty());
@@ -273,7 +296,7 @@ TEST(Population, ArenaBackedVisitLogRoundTrips) {
 
 // --- Bounded memory ---
 //
-// The point of the streaming runner: peak RSS must not grow linearly with
+// The point of the wave scheduler: peak RSS must not grow linearly with
 // N. An aggregate-mode run well above the detail threshold may only add a
 // bounded increment on top of the process's prior high-water mark —
 // materializing 320 participants' logs and results would blow through it.
@@ -283,7 +306,6 @@ TEST(Population, StreamingPeakRssIsBounded) {
   StudyConfig warm;
   warm.participants = 8;
   warm.days = 1;
-  warm.runner = RunnerMode::Streaming;
   (void)DeploymentStudy(warm).run();
 
   const std::uint64_t before = telemetry::read_process_stats().peak_rss_bytes;
@@ -293,15 +315,14 @@ TEST(Population, StreamingPeakRssIsBounded) {
   config.participants = 320;  // 20x the warm-up, far above detail threshold
   config.days = 1;
   config.threads = 2;
-  config.runner = RunnerMode::Streaming;
   const StudyResult run = DeploymentStudy(config).run();
   EXPECT_EQ(run.totals.participants, 320u);
 
   const std::uint64_t after = telemetry::read_process_stats().peak_rss_bytes;
   const std::uint64_t delta = after - before;
   // Generous absolute ceiling (sanitizers inflate every allocation): a
-  // materialized 320-participant run keeps every engine log, result, and
-  // cloud record live and lands far above this.
+  // run that kept all 320 participants' engine logs, results, and cloud
+  // records live would land far above this.
   const std::uint64_t budget =
       (kSanitized ? 768ull : 192ull) * 1024 * 1024;
   EXPECT_LT(delta, budget)
@@ -344,7 +365,7 @@ TEST(Population, InstanceLabelScopeKeepsRegistryBounded) {
   EXPECT_EQ(reg.series_count() - unscoped_before, 10u);
 }
 
-// An aggregate-mode streaming study must leave the registry O(threads):
+// An aggregate-mode study must leave the registry O(threads):
 // the per-family series count after a 300-participant run stays far below
 // the participant count.
 TEST(Population, AggregateStudyKeepsSeriesCountSubLinear) {
@@ -353,7 +374,6 @@ TEST(Population, AggregateStudyKeepsSeriesCountSubLinear) {
   config.participants = 300;
   config.days = 1;
   config.threads = 2;
-  config.runner = RunnerMode::Streaming;
   (void)DeploymentStudy(config).run();
   const std::size_t grown = telemetry::registry().series_count() - before;
   EXPECT_LT(grown, 200u)
@@ -406,7 +426,7 @@ TEST(Arena, AllocatorDegradesToHeapWithoutArena) {
 
 TEST(Arena, VectorWorkloadReachesZeroGrowthSteadyState) {
   util::Arena arena(1 << 16);
-  // Simulate the streaming runner's per-participant engine logs: identical
+  // Simulate the study runner's per-participant engine logs: identical
   // allocation shapes, arena reset between participants.
   std::size_t after_warmup = 0;
   for (int participant = 0; participant < 8; ++participant) {
