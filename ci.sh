@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification, five legs: a plain build (plus the golden study
-# digest gates, a deployment-bench smoke run, and the telemetry ns/op
-# budget gate), a warnings-as-errors build, an address+UB-sanitized one, a
+# Tier-1 verification, five legs: a plain build (plus the ScienceBands
+# 8-seed §4 bands, the golden study digest gates, a deployment-bench smoke
+# run, the perfbench selftest, and the telemetry ns/op budget gate), a warnings-as-errors build, an address+UB-sanitized one, a
 # thread-sanitized build that runs the Sharding-labeled tests (the
 # telemetry registry/tracer hammer, the sharded-cloud hammer, the
 # router/cloud suites, and the parallel deployment study) together with
@@ -78,6 +78,13 @@ echo "crashed-study digest ${actual_digest} matches golden"
 echo "=== deployment bench smoke run ==="
 ./build/bench/bench_deployment_study --threads 1 --max-pop 16 >/dev/null
 
+# Benchmark self-check: perfbench mirrors the study loop by hand (its own
+# proxy and runner over the middleware in src/), so it must keep agreeing
+# with DeploymentStudy's digest, with and without churn, after any change
+# to the RNG or the study. Builds into .bench_build/ on first use.
+echo "=== perfbench selftest ==="
+python3 perfbench/run.py --selftest
+
 # Telemetry budget gate: 8 threads hammer the metric hot paths; asserts
 # exact totals, the lock-free handle path beating the registry-lookup path,
 # and absolute ns/op ceilings (see bench_micro_algorithms.cpp).
@@ -86,8 +93,11 @@ echo "=== telemetry ns/op budget ==="
 
 # -Wall -Wextra are always on; this build promotes them to errors so new
 # warnings fail CI instead of scrolling by.
-run_suite build-werror "" -DPMWARE_WERROR=ON "$@"
-run_suite build-asan "" -DPMWARE_SANITIZE="address;undefined" "$@"
+# The ScienceBands label (the 8-seed §4 study, ~15-30 s of CPU on 4
+# threads) runs in the plain leg only: its bands judge the science, which
+# neither -Werror nor a sanitizer changes.
+run_suite build-werror "-LE ScienceBands" -DPMWARE_WERROR=ON "$@"
+run_suite build-asan "-LE ScienceBands" -DPMWARE_SANITIZE="address;undefined" "$@"
 # tsan cannot combine with asan; a third build runs just the tests that
 # exercise threads (everything else is single-threaded by design). The
 # Caching label rides along: the content caches sit on the concurrent

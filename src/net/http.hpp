@@ -117,6 +117,8 @@ inline constexpr int kStatusNotFound = 404;
 /// Permanent refusal: the write's registration session is at or below the
 /// device's wipe tombstone. Clients must drop the work item, not retry.
 inline constexpr int kStatusGone = 410;
+/// A handler threw: the router's last-resort mapping (Router::handle).
+inline constexpr int kStatusInternalError = 500;
 inline constexpr int kStatusServiceUnavailable = 503;
 
 }  // namespace pmware::net

@@ -1,8 +1,11 @@
 #include "net/router.hpp"
 
 #include <chrono>
+#include <exception>
 #include <optional>
 
+#include "telemetry/log.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace pmware::net {
@@ -67,6 +70,19 @@ bool Router::match(const Route& route, const std::vector<std::string>& segments,
     }
   }
   return true;
+}
+
+HttpResponse Router::handler_threw(const Route& route, SimTime sim_now,
+                                   const char* what) {
+  // Logged while the handler span is still open, so the record carries the
+  // request's trace_id.
+  telemetry::registry()
+      .counter("cloud_handler_exceptions_total", {{"route", route.pattern}},
+               "handler exceptions mapped to 500 by the router")
+      .inc();
+  telemetry::slog_warn("router", sim_now, "%s %s threw: %s",
+                       to_string(route.method), route.pattern.c_str(), what);
+  return HttpResponse::error(kStatusInternalError, "internal error");
 }
 
 HttpResponse Router::handle(const HttpRequest& request) const {
@@ -140,7 +156,14 @@ HttpResponse Router::handle(const HttpRequest& request) const {
     std::optional<telemetry::Span> span;
     if (ctx.valid())
       span.emplace(telemetry::tracer(), "cloud." + best->pattern, sim_now, ctx);
-    HttpResponse response = best->handler(request, best_params);
+    HttpResponse response;
+    try {
+      response = best->handler(request, best_params);
+    } catch (const std::exception& e) {
+      response = handler_threw(*best, sim_now, e.what());
+    } catch (...) {
+      response = handler_threw(*best, sim_now, "non-standard exception");
+    }
     response.sim_latency_s += added_latency_s;
     if (span) span->finish(sim_now);
     observe(best->pattern, response.status);

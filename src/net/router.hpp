@@ -67,6 +67,10 @@ class Router {
   ///    "/api/users/all" beats "/api/users/:id" regardless of registration
   ///    order.
   ///
+  /// A handler that throws gets a 500: the router counts it in
+  /// cloud_handler_exceptions_total{route}, logs a trace-correlated warning,
+  /// and still closes the handler span and reports to the observer.
+  ///
   /// handle() itself takes no lock and is safe to call concurrently: the
   /// route/middleware tables are immutable after single-threaded setup
   /// (add_route/add_middleware must not race handle()), and synchronization
@@ -93,6 +97,9 @@ class Router {
   static std::vector<std::string> split(const std::string& path);
   static bool match(const Route& route, const std::vector<std::string>& segments,
                     PathParams& params);
+  /// handle()'s last-resort catch: counts, logs, and builds the 500.
+  static HttpResponse handler_threw(const Route& route, SimTime sim_now,
+                                    const char* what);
 
   std::vector<Route> routes_;
   std::vector<Guard> guards_;

@@ -251,6 +251,45 @@ TEST_F(CloudFixture, GcaDiscoveryEndpoint) {
   EXPECT_EQ(std::get<algorithms::CellSignature>(sig).cells.size(), 2u);
 }
 
+// Last-resort catch: a body the discover handler cannot decode (a JSON
+// string where an object is expected) throws inside the handler. The router
+// maps it to a 500, counts and logs it under the request's trace, closes
+// the handler span, and storage is untouched.
+TEST_F(CloudFixture, ThrowingHandlerMapsTo500AndLeavesStorageUnchanged) {
+  register_device();
+  telemetry::tracer().reset();
+  const std::uint64_t digest_before = cloud_.storage().content_digest();
+  const telemetry::LabelSet route{{"route", "/api/places/discover"}};
+  const std::uint64_t thrown_before = telemetry::registry().counter_value(
+      "cloud_handler_exceptions_total", route);
+
+  telemetry::TraceContext ctx;
+  HttpRequest discover = request(Method::Post, "/api/places/discover");
+  discover.body = Json("x");
+  HttpResponse res;
+  {
+    telemetry::Span client(telemetry::tracer(), "test.client", 0);
+    ctx = telemetry::tracer().current_context();
+    discover.set_trace_context(ctx);
+    res = cloud_.router().handle(discover);
+  }
+  EXPECT_EQ(res.status, net::kStatusInternalError);
+  EXPECT_EQ(cloud_.storage().content_digest(), digest_before);
+  EXPECT_EQ(telemetry::registry().counter_value(
+                "cloud_handler_exceptions_total", route),
+            thrown_before + 1);
+
+  bool logged = false;
+  for (const auto& record : telemetry::logger().recent())
+    if (record.component == "router" && record.trace_id == ctx.trace_id)
+      logged = true;
+  EXPECT_TRUE(logged);
+  bool span_closed = false;
+  for (const auto& span : telemetry::tracer().records())
+    if (span.name == "cloud./api/places/discover") span_closed = span.finished;
+  EXPECT_TRUE(span_closed);
+}
+
 TEST_F(CloudFixture, RouteStoreEndpoints) {
   register_device();
   auto post_route = [this]() {

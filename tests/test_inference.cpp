@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "mobility/participant.hpp"
 #include "mobility/schedule.hpp"
@@ -15,22 +16,26 @@ namespace {
 using energy::Interface;
 
 struct EngineHarness {
+  /// `scenario` selects the seed set: 0 is the default scenario, and each
+  /// other value an independent world, participant, trace and device.
   EngineHarness(int days_n, bool wifi_enabled = true,
                 std::optional<Granularity> granularity = Granularity::Building,
-                RouteAccuracy route_accuracy = RouteAccuracy::Off) {
-    Rng world_rng(1);
+                RouteAccuracy route_accuracy = RouteAccuracy::Off,
+                std::uint64_t scenario = 0) {
+    const std::uint64_t offset = 100 * scenario;
+    Rng world_rng(1 + offset);
     world::WorldConfig wc;
     world = world::generate_world(wc, world_rng);
-    Rng prng(2);
+    Rng prng(2 + offset);
     participants = mobility::make_participants(*world, 2, prng);
-    Rng trng(5);
+    Rng trng(5 + offset);
     mobility::ScheduleConfig sc;
     sc.days = days_n;
     trace.emplace(mobility::build_trace(*world, participants[0], sc, trng));
 
     device = std::make_unique<sensing::Device>(
         world, sensing::oracle_from_trace(*trace), sensing::DeviceConfig{},
-        Rng(7));
+        Rng(7 + offset));
     scheduler = std::make_unique<sensing::SamplingScheduler>(&meter);
     apps = std::make_unique<ConnectedAppsModule>(&prefs);
 
@@ -52,7 +57,8 @@ struct EngineHarness {
     InferenceConfig config;
     config.wifi_enabled = wifi_enabled;
     engine = std::make_unique<InferenceEngine>(
-        device.get(), scheduler.get(), &store, apps.get(), config, Rng(9));
+        device.get(), scheduler.get(), &store, apps.get(), config,
+        Rng(9 + offset));
     engine->set_place_event_sink(
         [this](const PlaceEvent& event) { events.push_back(event); });
     engine->set_route_event_sink(
@@ -80,6 +86,15 @@ struct EngineHarness {
   std::vector<PlaceEvent> events;
   std::vector<RouteEvent> route_events;
 };
+
+// Whether a route is captured, carries GPS, or gets an area in a short run
+// depends on the scenario: which places the trace visits, and whether the
+// engine has discovered both ends of a trip by the time it is made. The
+// tests below therefore run kScenarios independent scenarios, check the
+// per-run invariants on every one, and require each mechanism to fire in at
+// least a quarter of them.
+constexpr std::uint64_t kScenarios = 16;
+constexpr int kMinScenariosFiring = 4;
 
 TEST(InferenceEngine, DiscoversHomeAndAnchor) {
   EngineHarness h(3);
@@ -206,23 +221,35 @@ TEST(InferenceEngine, GsmLogGrowsContinuously) {
 }
 
 TEST(InferenceEngine, RoutesCapturedBetweenPlaces) {
-  EngineHarness h(2, true, Granularity::Building, RouteAccuracy::Low);
-  h.run_days(2);
-  EXPECT_GE(h.route_events.size(), 2u);
-  for (const auto& r : h.route_events) {
-    EXPECT_GE(r.window.length(), minutes(2));
-    EXPECT_FALSE(r.high_accuracy);
+  int firing = 0;
+  for (std::uint64_t scenario = 0; scenario < kScenarios; ++scenario) {
+    SCOPED_TRACE("scenario " + std::to_string(scenario));
+    EngineHarness h(2, true, Granularity::Building, RouteAccuracy::Low,
+                    scenario);
+    h.run_days(2);
+    for (const auto& r : h.route_events) {
+      EXPECT_GE(r.window.length(), minutes(2));
+      EXPECT_FALSE(r.high_accuracy);
+    }
+    if (h.route_events.size() >= 2 && !h.engine->routes().routes().empty())
+      ++firing;
   }
-  EXPECT_GE(h.engine->routes().routes().size(), 1u);
+  EXPECT_GE(firing, kMinScenariosFiring);
 }
 
 TEST(InferenceEngine, HighAccuracyRoutesCarryGps) {
-  EngineHarness h(2, true, Granularity::Building, RouteAccuracy::High);
-  h.run_days(2);
-  bool any_gps_route = false;
-  for (const auto& canonical : h.engine->routes().routes())
-    if (canonical.representative.gps.points.size() >= 2) any_gps_route = true;
-  EXPECT_TRUE(any_gps_route);
+  int firing = 0;
+  for (std::uint64_t scenario = 0; scenario < kScenarios; ++scenario) {
+    EngineHarness h(2, true, Granularity::Building, RouteAccuracy::High,
+                    scenario);
+    h.run_days(2);
+    bool any_gps_route = false;
+    for (const auto& canonical : h.engine->routes().routes())
+      if (canonical.representative.gps.points.size() >= 2)
+        any_gps_route = true;
+    if (any_gps_route) ++firing;
+  }
+  EXPECT_GE(firing, kMinScenariosFiring);
 }
 
 TEST(InferenceEngine, ReclusterIsStableAcrossRepeats) {
@@ -237,16 +264,22 @@ TEST(InferenceEngine, ReclusterIsStableAcrossRepeats) {
 }
 
 TEST(InferenceEngine, AreaOfWifiPlaceIsGsmCluster) {
-  EngineHarness h(3);
-  h.run_days(3);
-  // At least one wifi place is associated with a GSM-cluster area.
-  bool any_refined = false;
-  for (const auto& [uid, record] : h.store.records()) {
-    if (!std::holds_alternative<algorithms::WifiSignature>(record.signature))
-      continue;
-    if (h.engine->area_of(uid) != uid) any_refined = true;
+  // In a scenario that fires, at least one wifi place is associated with a
+  // GSM-cluster area.
+  int firing = 0;
+  for (std::uint64_t scenario = 0; scenario < kScenarios; ++scenario) {
+    EngineHarness h(3, true, Granularity::Building, RouteAccuracy::Off,
+                    scenario);
+    h.run_days(3);
+    bool any_refined = false;
+    for (const auto& [uid, record] : h.store.records()) {
+      if (!std::holds_alternative<algorithms::WifiSignature>(record.signature))
+        continue;
+      if (h.engine->area_of(uid) != uid) any_refined = true;
+    }
+    if (any_refined) ++firing;
   }
-  EXPECT_TRUE(any_refined);
+  EXPECT_GE(firing, kMinScenariosFiring);
 }
 
 }  // namespace
