@@ -14,9 +14,10 @@ TokenService::TokenShard& TokenService::shard_of(
 }
 
 std::string TokenService::mint_token() {
-  return strfmt("tok-%016llx%016llx",
-                static_cast<unsigned long long>(rng_.engine()()),
-                static_cast<unsigned long long>(rng_.engine()()));
+  // Two statements: argument evaluation order is unspecified.
+  const auto high = static_cast<unsigned long long>(rng_.next());
+  const auto low = static_cast<unsigned long long>(rng_.next());
+  return strfmt("tok-%016llx%016llx", high, low);
 }
 
 TokenGrant TokenService::register_device(const std::string& imei,

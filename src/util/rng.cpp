@@ -1,68 +1,120 @@
 #include "util/rng.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace pmware {
 
 namespace {
 
-// SplitMix64 finalizer: decorrelates fork salts from the parent stream.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+// SplitMix64 step (Steele, Lea & Flood): advances `x` by the golden gamma
+// and returns the mixed output. Expands seeds into xoshiro state and
+// decorrelates fork salts from the parent stream.
+std::uint64_t splitmix64(std::uint64_t& x) {
+  std::uint64_t z = (x += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
 }
+
+std::uint64_t mix(std::uint64_t x) { return splitmix64(x); }
 
 }  // namespace
 
+Rng::Rng(std::uint64_t seed) {
+  for (auto& word : s_) word = splitmix64(seed);
+}
+
+Rng Rng::from_state(const State& state) {
+  if (state == State{}) throw std::invalid_argument("Rng::from_state: zero state");
+  Rng rng;
+  rng.s_ = state;
+  return rng;
+}
+
 Rng Rng::fork(std::uint64_t salt) {
-  const std::uint64_t base = engine_();
+  const std::uint64_t base = next();
   return Rng(mix(base ^ mix(salt)));
+}
+
+std::uint64_t Rng::bounded(std::uint64_t n) {
+  unsigned __int128 m = static_cast<unsigned __int128>(next()) * n;
+  auto low = static_cast<std::uint64_t>(m);
+  if (low < n) {
+    const std::uint64_t threshold = -n % n;  // 2^64 mod n
+    while (low < threshold) {
+      m = static_cast<unsigned __int128>(next()) * n;
+      low = static_cast<std::uint64_t>(m);
+    }
+  }
+  return static_cast<std::uint64_t>(m >> 64);
 }
 
 double Rng::uniform(double lo, double hi) {
   if (lo > hi) throw std::invalid_argument("Rng::uniform: lo > hi");
-  std::uniform_real_distribution<double> dist(lo, hi);
-  return dist(engine_);
+  const double x = lo + (hi - lo) * unit();
+  // lo + (hi - lo) * u can round up to hi; keep the interval half-open.
+  if (x < hi) return x;
+  return lo < hi ? std::nextafter(hi, lo) : lo;
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo > hi");
-  std::uniform_int_distribution<std::int64_t> dist(lo, hi);
-  return dist(engine_);
+  // Unsigned arithmetic: the span of [INT64_MIN, INT64_MAX] is 2^64 - 1.
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+  const std::uint64_t offset = span == UINT64_MAX ? next() : bounded(span + 1);
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + offset);
 }
 
 double Rng::normal(double mean, double sigma) {
   if (sigma < 0) throw std::invalid_argument("Rng::normal: sigma < 0");
   if (sigma == 0) return mean;
-  std::normal_distribution<double> dist(mean, sigma);
-  return dist(engine_);
+  if (has_spare_) {
+    has_spare_ = false;
+    return mean + sigma * spare_;
+  }
+  double u, v, s;
+  do {
+    u = 2 * unit() - 1;
+    v = 2 * unit() - 1;
+    s = u * u + v * v;
+  } while (s >= 1 || s == 0);
+  const double f = std::sqrt(-2 * std::log(s) / s);
+  spare_ = v * f;
+  has_spare_ = true;
+  return mean + sigma * u * f;
 }
 
 double Rng::exponential(double mean) {
   if (mean <= 0) throw std::invalid_argument("Rng::exponential: mean <= 0");
-  std::exponential_distribution<double> dist(1.0 / mean);
-  return dist(engine_);
+  // 1 - unit() is in (0, 1], so the log is finite.
+  return -mean * std::log(1 - unit());
 }
 
-bool Rng::bernoulli(double p) {
-  const double clamped = std::clamp(p, 0.0, 1.0);
-  std::bernoulli_distribution dist(clamped);
-  return dist(engine_);
-}
+bool Rng::bernoulli(double p) { return unit() < std::clamp(p, 0.0, 1.0); }
 
 int Rng::poisson(double mean) {
-  if (mean < 0) throw std::invalid_argument("Rng::poisson: mean < 0");
+  if (mean < 0 || mean > 700)
+    throw std::invalid_argument("Rng::poisson: mean outside [0, 700]");
   if (mean == 0) return 0;
-  std::poisson_distribution<int> dist(mean);
-  return dist(engine_);
+  const double u = unit();
+  int k = 0;
+  double p = std::exp(-mean);
+  double cdf = p;
+  // p reaches 0 once k is far past the mean, which ends the search even if
+  // rounding left the summed cdf just below u.
+  while (u >= cdf && p > 0) {
+    ++k;
+    p *= mean / k;
+    cdf += p;
+  }
+  return k;
 }
 
 std::size_t Rng::index(std::size_t size) {
   if (size == 0) throw std::invalid_argument("Rng::index: size == 0");
-  std::uniform_int_distribution<std::size_t> dist(0, size - 1);
-  return dist(engine_);
+  return static_cast<std::size_t>(bounded(size));
 }
 
 std::size_t Rng::weighted_index(std::span<const double> weights) {

@@ -2,44 +2,81 @@
 //
 // Every stochastic component in PMWare takes an explicit Rng so that whole
 // deployment studies replay bit-for-bit from a single seed (DESIGN.md §5).
+// The engine and every distribution are implemented here rather than taken
+// from <random>, whose distributions are implementation-defined: a stream
+// is a function of the seed alone, not of the standard library that built
+// it.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <random>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
 namespace pmware {
 
-/// Seeded pseudo-random generator wrapping std::mt19937_64 with the
-/// distribution helpers used across the simulator.
+/// Seeded xoshiro256++ generator (Blackman & Vigna) with the distribution
+/// helpers used across the simulator. Not thread-safe: each owner (a
+/// participant, a device, a client) holds its own, forked from a parent.
 class Rng {
  public:
-  /// Constructs a generator from an explicit seed. The same seed always
-  /// yields the same stream.
-  explicit Rng(std::uint64_t seed) : engine_(seed) {}
+  using State = std::array<std::uint64_t, 4>;
+
+  /// Constructs a generator from an explicit seed, expanded into the
+  /// 256-bit state by SplitMix64. The same seed always yields the same
+  /// stream.
+  explicit Rng(std::uint64_t seed);
+
+  /// Constructs a generator with the given raw xoshiro256++ state (must not
+  /// be all zero). For known-answer tests against the reference outputs.
+  static Rng from_state(const State& state);
 
   /// Derives an independent child generator; `salt` distinguishes siblings
   /// derived from the same parent (e.g. one child per participant).
   Rng fork(std::uint64_t salt);
 
-  /// Uniform double in [lo, hi). Requires lo <= hi.
+  /// Next raw 64-bit output of xoshiro256++.
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
+
+  /// Uniform double in [0, 1) on the 2^-53 grid (top 53 bits of next()).
+  double unit() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
+
+  /// Uniform double in [lo, hi). Requires lo <= hi; lo == hi returns lo.
   double uniform(double lo, double hi);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
+  /// Uniform integer in [lo, hi] inclusive, unbiased (Lemire's bounded
+  /// multiply with rejection). Requires lo <= hi; the full int64 range is
+  /// allowed.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-  /// Normal variate with the given mean and standard deviation (sigma >= 0).
+  /// Normal variate with the given mean and standard deviation (sigma >= 0),
+  /// by Marsaglia's polar method. Each accepted pair yields two standard
+  /// normals; the second is kept and returned by the next call, so a
+  /// normal costs one polar iteration per two draws. sigma == 0 returns
+  /// mean without drawing.
   double normal(double mean, double sigma);
 
-  /// Exponential variate with the given mean (> 0).
+  /// Exponential variate with the given mean (> 0), by inversion.
   double exponential(double mean);
 
-  /// True with probability p (clamped to [0, 1]).
+  /// True with probability p (clamped to [0, 1]): unit() < p.
   bool bernoulli(double p);
 
-  /// Poisson variate with the given mean (>= 0).
+  /// Poisson variate with the given mean, by sequential-search inversion
+  /// (one unit() draw, O(mean) work). Valid for 0 <= mean <= 700: past
+  /// ~708, e^-mean leaves the normal double range and the search loses
+  /// precision. Throws outside that range.
   int poisson(double mean);
 
   /// Uniformly chosen index into a container of `size` elements (size > 0).
@@ -70,10 +107,20 @@ class Rng {
     }
   }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
-  std::mt19937_64 engine_;
+  Rng() = default;
+
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
+  /// Uniform integer in [0, n), n > 0.
+  std::uint64_t bounded(std::uint64_t n);
+
+  State s_{};
+  /// The polar method's second variate, pending for the next normal().
+  double spare_ = 0;
+  bool has_spare_ = false;
 };
 
 }  // namespace pmware

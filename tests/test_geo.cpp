@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "util/rng.hpp"
 
 namespace pmware::geo {

@@ -102,14 +102,14 @@ TEST(Population, GoldenStudyReproducesKnownAnswer) {
   ASSERT_TRUE(golden >> digest);
   const StudyResult run = DeploymentStudy(small_config()).run();
   EXPECT_EQ(run.storage_digest, digest);
-  EXPECT_EQ(run.total_discovered(), 21u);
-  EXPECT_EQ(run.total_tagged(), 19u);
-  EXPECT_EQ(run.total_evaluable(), 15u);
-  EXPECT_EQ(run.total(algorithms::DiscoveredOutcome::Correct), 14u);
-  EXPECT_EQ(run.total(algorithms::DiscoveredOutcome::Merged), 1u);
-  EXPECT_EQ(run.total(algorithms::DiscoveredOutcome::Divided), 0u);
-  EXPECT_EQ(run.total_likes(), 30u);
-  EXPECT_EQ(run.total_dislikes(), 12u);
+  EXPECT_EQ(run.total_discovered(), 18u);
+  EXPECT_EQ(run.total_tagged(), 13u);
+  EXPECT_EQ(run.total_evaluable(), 12u);
+  EXPECT_EQ(run.total(algorithms::DiscoveredOutcome::Correct), 11u);
+  EXPECT_EQ(run.total(algorithms::DiscoveredOutcome::Merged), 0u);
+  EXPECT_EQ(run.total(algorithms::DiscoveredOutcome::Divided), 1u);
+  EXPECT_EQ(run.total_likes(), 40u);
+  EXPECT_EQ(run.total_dislikes(), 7u);
 }
 
 // Workers and waves never change results: a parallel run (which constructs,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "geo/polyline.hpp"
 #include "util/rng.hpp"
 
