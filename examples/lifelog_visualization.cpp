@@ -100,10 +100,12 @@ int main() {
 
   // (c) Persistence round trip: the app's local storage.
   std::stringstream visits_file, places_file;
-  core::write_visit_log(visits_file, pms.inference().visit_log());
+  core::write_jsonl(visits_file, pms.inference().visit_log());
   core::write_place_records(places_file, pms.places());
-  const auto visits_back = core::read_visit_log(visits_file);
-  const auto places_back = core::read_place_records(places_file);
+  const auto visits_back =
+      core::read_jsonl(visits_file, core::logged_visit_from_json);
+  const auto places_back =
+      core::read_jsonl(places_file, core::place_record_from_json);
   std::printf("persisted and reloaded %zu visits and %zu place records "
               "(JSONL)\n",
               visits_back.size(), places_back.size());

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 
-#include "algorithms/gca.hpp"
 #include "cache/etag.hpp"
 #include "core/codec.hpp"
 #include "telemetry/alerts.hpp"
@@ -335,16 +334,14 @@ void CloudInstance::register_routes() {
                                  "imei and email required");
     const TokenGrant grant =
         tokens_.register_device(imei, email, request_time(req));
-    Json body = Json::object();
-    body.set("user", static_cast<std::uint64_t>(grant.user));
-    body.set("token", grant.token);
-    body.set("expires_at", grant.expires_at);
-    // Boot epoch: bumps on every registration of this device. The client
-    // stamps it on mutating requests (X-PMWare-Session) and qualifies its
-    // replay sequence numbers with it — see DESIGN.md "Failure model &
-    // recovery".
-    body.set("session", grant.session);
-    return HttpResponse::json(std::move(body), net::kStatusCreated);
+    // Boot epoch ("session"): bumps on every registration of this device.
+    // The client stamps it on mutating requests (X-PMWare-Session) and
+    // qualifies its replay sequence numbers with it — see DESIGN.md
+    // "Failure model & recovery".
+    return HttpResponse::json(
+        core::to_json(core::SessionGrant{grant.user, grant.token,
+                                         grant.expires_at, grant.session}),
+        net::kStatusCreated);
   });
 
   router_.add_route(Method::Post, "/api/token/refresh",
@@ -355,11 +352,8 @@ void CloudInstance::register_routes() {
     const auto grant = tokens_.refresh(it->second.substr(7), request_time(req));
     if (!grant)
       return HttpResponse::error(net::kStatusUnauthorized, "token expired");
-    Json body = Json::object();
-    body.set("user", static_cast<std::uint64_t>(grant->user));
-    body.set("token", grant->token);
-    body.set("expires_at", grant->expires_at);
-    return HttpResponse::json(std::move(body));
+    return HttpResponse::json(core::to_json(core::SessionGrant{
+        grant->user, grant->token, grant->expires_at, std::nullopt}));
   });
 
   // --- Places API: GCA offloading (§2.3.1) ---
@@ -368,11 +362,8 @@ void CloudInstance::register_routes() {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
     if (auto err = require_writable(req, user)) return *err;
-    std::vector<algorithms::CellObservation> observations;
-    for (const auto& o : req.body.at("observations").as_array()) {
-      observations.push_back(
-          {o.at("t").as_int(), core::cell_from_json(o.at("cell"))});
-    }
+    core::DiscoverRequest upload = core::discover_request_from_json(req.body);
+    auto& observations = upload.observations;
     Json body;
     {
       const auto locked = storage_.locked_user(user);
@@ -383,30 +374,19 @@ void CloudInstance::register_routes() {
       // the retained stream nor a replay of the last applied suffix means
       // the two sides disagree about history — 409 tells the device to
       // fall back to a full upload this pass.
-      if (req.body.contains("prefix_len")) {
-        const auto prefix_len =
-            static_cast<std::size_t>(req.body.at("prefix_len").as_int());
-        const std::uint64_t prefix_digest = std::strtoull(
-            req.body.at("prefix_digest").as_string().c_str(), nullptr, 16);
-        if (prefix_len == locked->gca_log.size() &&
-            prefix_digest == locked->gca_log_digest) {
+      if (const auto& claim = upload.prefix) {
+        if (claim->len == locked->gca_log.size() &&
+            claim->digest == locked->gca_log_digest) {
           locked->gca_log.insert(locked->gca_log.end(), observations.begin(),
                                  observations.end());
-          for (const auto& obs : observations) {
-            cache::fold(locked->gca_log_digest,
-                        static_cast<std::uint64_t>(obs.t));
-            cache::fold(locked->gca_log_digest, obs.cell.key());
-          }
+          core::fold_movement(locked->gca_log_digest, observations);
         } else {
           // Replay (client retry after a lost response): the claimed prefix
           // plus this suffix IS the retained stream — nothing to apply.
-          std::uint64_t replay_digest = prefix_digest;
-          for (const auto& obs : observations) {
-            cache::fold(replay_digest, static_cast<std::uint64_t>(obs.t));
-            cache::fold(replay_digest, obs.cell.key());
-          }
+          std::uint64_t replay_digest = claim->digest;
+          core::fold_movement(replay_digest, observations);
           const bool replay =
-              prefix_len + observations.size() == locked->gca_log.size() &&
+              claim->len + observations.size() == locked->gca_log.size() &&
               replay_digest == locked->gca_log_digest;
           if (!replay)
             return HttpResponse::error(409, "gca log out of sync; resync");
@@ -428,26 +408,7 @@ void CloudInstance::register_routes() {
         return HttpResponse::json(locked->gca_response);
       }
       const bool had_cached = locked->gca_response_digest.has_value();
-      const algorithms::GcaResult result = locked->gca.run(locked->gca_log);
-      Json places = Json::array();
-      for (const auto& cluster : result.places) {
-        Json p = Json::object();
-        p.set("signature",
-              core::to_json(algorithms::PlaceSignature(cluster.signature)));
-        p.set("total_dwell", static_cast<std::int64_t>(cluster.total_dwell));
-        places.push_back(std::move(p));
-      }
-      Json visits = Json::array();
-      for (const auto& v : result.visits) {
-        Json e = Json::object();
-        e.set("place", static_cast<std::uint64_t>(v.place_index));
-        e.set("arrival", v.window.begin);
-        e.set("departure", v.window.end);
-        visits.push_back(std::move(e));
-      }
-      body = Json::object();
-      body.set("places", std::move(places));
-      body.set("visits", std::move(visits));
+      body = core::to_json(locked->gca.run(locked->gca_log));
       if (config_.cache) {
         cache::record_outcome(kGcaCacheName,
                               had_cached ? cache::CacheOutcome::Recompute
@@ -464,14 +425,7 @@ void CloudInstance::register_routes() {
                     [this](const HttpRequest& req, const PathParams& params) {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
-    Json arr = Json::array();
-    {
-      const auto locked = storage_.locked_user(user);
-      for (const auto& [uid, record] : locked->places)
-        arr.push_back(core::to_json(record));
-    }
-    Json body = Json::object();
-    body.set("places", std::move(arr));
+    Json body = core::place_listing_to_json(storage_.locked_user(user)->places);
     return conditional(req, HttpResponse::json(std::move(body)));
   });
 
@@ -488,12 +442,11 @@ void CloudInstance::register_routes() {
       record.location = geoloc_.locate_signature(record.signature);
     storage_.locked_user(user)->places[record.uid] = record;
     storage_.note_write(user);
-    Json body = Json::object();
-    body.set("uid", static_cast<std::uint64_t>(record.uid));
     // Echo the resolved position so the mobile service can cache it locally
     // (geofencing and the map UI need coordinates on-device).
-    if (record.location) body.set("location", core::to_json(*record.location));
-    return HttpResponse::json(std::move(body), net::kStatusCreated);
+    return HttpResponse::json(
+        core::to_json(core::PlaceEcho{record.uid, record.location}),
+        net::kStatusCreated);
   });
 
   router_.add_route(Method::Post, "/api/users/:id/places/:uid/label",
@@ -503,13 +456,14 @@ void CloudInstance::register_routes() {
     if (auto err = require_writable(req, user)) return *err;
     const auto uid = static_cast<core::PlaceUid>(
         std::atoll(params.at("uid").c_str()));
+    std::string label = req.body.at("label").as_string();
     {
       const auto locked = storage_.locked_user(user);
       auto& places = locked->places;
       const auto it = places.find(uid);
       if (it == places.end())
         return HttpResponse::error(net::kStatusNotFound, "unknown place");
-      it->second.label = req.body.get_string("label", "");
+      it->second.label = std::move(label);
     }
     storage_.note_write(user);
     return HttpResponse::json(Json::object());
@@ -549,43 +503,24 @@ void CloudInstance::register_routes() {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
     if (auto err = require_writable(req, user)) return *err;
-    algorithms::RouteObservation obs;
-    obs.from_place = static_cast<std::size_t>(req.body.get_int("from", 0));
-    obs.to_place = static_cast<std::size_t>(req.body.get_int("to", 0));
-    obs.window = TimeWindow{req.body.get_int("start", 0),
-                            req.body.get_int("end", 0)};
-    if (req.body.contains("cells")) {
-      for (const auto& c : req.body.at("cells").as_array()) {
-        obs.cells.times.push_back(c.at("t").as_int());
-        obs.cells.cells.push_back(core::cell_from_json(c.at("cell")));
-      }
-    }
-    if (req.body.contains("gps")) {
-      for (const auto& g : req.body.at("gps").as_array()) {
-        obs.gps.times.push_back(g.at("t").as_int());
-        obs.gps.points.push_back(core::latlng_from_json(g));
-      }
-    }
+    core::RouteUpload upload = core::route_upload_from_json(req.body);
     // Replay guard: the device stamps each upload with its route-log index.
     // A "seq" below the high-water mark was already applied — an outbox
     // replay whose original response was lost must not double-count the
-    // journey in the canonical route's use_count. Requests without "seq"
+    // journey in the canonical route's use count. Requests without "seq"
     // (legacy callers, tests) always apply.
-    const bool has_seq = req.body.contains("seq");
-    const auto seq =
-        static_cast<std::uint64_t>(req.body.get_int("seq", 0));
+    const std::optional<std::uint64_t> seq = upload.seq;
     std::size_t uid = 0;
     {
       const auto locked = storage_.locked_user(user);
-      if (has_seq && seq < locked->route_seq_high_water) {
+      if (seq && *seq < locked->route_seq_high_water) {
         // Already applied — nothing changed, so no write-mark bump either.
         Json body = Json::object();
         body.set("duplicate", true);
         return HttpResponse::json(std::move(body));
       }
-      uid = locked->routes.add(std::move(obs));
-      if (has_seq)
-        locked->route_seq_high_water = seq + 1;
+      uid = locked->routes.add(std::move(upload.route));
+      if (seq) locked->route_seq_high_water = *seq + 1;
     }
     storage_.note_write(user);
     Json body = Json::object();
@@ -601,12 +536,7 @@ void CloudInstance::register_routes() {
     const auto& store = locked->routes;
     Json arr = Json::array();
     auto emit = [&arr](std::size_t uid, const algorithms::CanonicalRoute& r) {
-      Json e = Json::object();
-      e.set("route_uid", static_cast<std::uint64_t>(uid));
-      e.set("from", static_cast<std::uint64_t>(r.representative.from_place));
-      e.set("to", static_cast<std::uint64_t>(r.representative.to_place));
-      e.set("use_count", static_cast<std::uint64_t>(r.use_count));
-      arr.push_back(std::move(e));
+      arr.push_back(core::route_summary_to_json(uid, r));
     };
     const auto from_it = req.query.find("from");
     const auto to_it = req.query.find("to");
@@ -630,29 +560,24 @@ void CloudInstance::register_routes() {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
     if (auto err = require_writable(req, user)) return *err;
+    const core::EncounterBatch batch =
+        core::encounter_batch_from_json(req.body);
+    const auto& entries = batch.encounters;
     const auto locked = storage_.locked_user(user);
     // Replay guard mirroring the routes "seq": the batch declares the
     // device-side log index of its first entry, and entries below the
     // high-water mark were already applied by an earlier attempt.
-    const auto& batch = req.body.at("encounters").as_array();
     std::size_t skip = 0;
-    if (req.body.contains("first_index")) {
-      const auto first =
-          static_cast<std::uint64_t>(req.body.get_int("first_index", 0));
-      if (first < locked->encounter_high_water)
-        skip = static_cast<std::size_t>(
-            std::min<std::uint64_t>(locked->encounter_high_water - first,
-                                    batch.size()));
+    if (const auto first = batch.first_index) {
+      if (*first < locked->encounter_high_water)
+        skip = static_cast<std::size_t>(std::min<std::uint64_t>(
+            locked->encounter_high_water - *first, entries.size()));
       locked->encounter_high_water =
-          std::max(locked->encounter_high_water, first + batch.size());
+          std::max(locked->encounter_high_water, *first + entries.size());
     }
-    for (std::size_t i = skip; i < batch.size(); ++i) {
-      const auto& e = batch[i];
-      locked->encounters.push_back(
-          {static_cast<world::DeviceId>(e.at("contact").as_int()),
-           static_cast<core::PlaceUid>(e.at("place").as_int()),
-           e.at("start").as_int(), e.at("end").as_int()});
-    }
+    locked->encounters.insert(
+        locked->encounters.end(),
+        entries.begin() + static_cast<std::ptrdiff_t>(skip), entries.end());
     // Bumped while still holding the shard lock: a reader that samples the
     // new mark can only read state after this lock is released.
     storage_.note_write(user);
@@ -666,20 +591,12 @@ void CloudInstance::register_routes() {
     std::optional<core::PlaceUid> place_filter;
     if (const auto it = req.query.find("place"); it != req.query.end())
       place_filter = static_cast<core::PlaceUid>(std::atoll(it->second.c_str()));
-    Json arr = Json::array();
+    core::EncounterBatch listing;
     const auto locked = storage_.locked_user(user);
-    for (const auto& e : locked->encounters) {
-      if (place_filter && e.place != *place_filter) continue;
-      Json o = Json::object();
-      o.set("contact", static_cast<std::uint64_t>(e.contact));
-      o.set("place", static_cast<std::uint64_t>(e.place));
-      o.set("start", e.start);
-      o.set("end", e.end);
-      arr.push_back(std::move(o));
-    }
-    Json body = Json::object();
-    body.set("encounters", std::move(arr));
-    return HttpResponse::json(std::move(body));
+    for (const auto& e : locked->encounters)
+      if (!place_filter || e.place == *place_filter)
+        listing.encounters.push_back(e);
+    return HttpResponse::json(core::to_json(listing));
   });
 
   // --- Privacy: data deletion (paper §6 "greater privacy and security
@@ -723,11 +640,7 @@ void CloudInstance::register_routes() {
       const auto it = profiles.find(day);
       if (it == profiles.end() || it->second.activity.empty())
         return HttpResponse::error(net::kStatusNotFound, "no activity for day");
-      Json body = Json::object();
-      body.set("still", it->second.activity.still);
-      body.set("walking", it->second.activity.walking);
-      body.set("vehicle", it->second.activity.vehicle);
-      return HttpResponse::json(std::move(body));
+      return HttpResponse::json(core::to_json(it->second.activity));
     });
   });
 

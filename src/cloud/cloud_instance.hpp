@@ -63,6 +63,8 @@ class CloudInstance {
   const net::Router& router() const { return router_; }
 
   // Direct (non-REST) access for tests and local tooling.
+  /// The router itself, for mounting extra routes next to the API's.
+  net::Router& mutable_router() { return router_; }
   CloudStorage& storage() { return storage_; }
   const CloudStorage& storage() const { return storage_; }
   TokenService& tokens() { return tokens_; }

@@ -1,6 +1,10 @@
 #include "core/codec.hpp"
 
-#include <stdexcept>
+#include <charconv>
+#include <limits>
+
+#include "core/inference_engine.hpp"
+#include "util/strfmt.hpp"
 
 namespace pmware::core {
 
@@ -13,32 +17,95 @@ const char* to_string(Granularity g) {
   return "?";
 }
 
+namespace {
+
+std::int64_t int_at(const Json& j, const char* key) {
+  return j.at(key).as_int();
+}
+
+/// Non-negative integer field that must fit in T.
+template <typename T>
+T uint_at(const Json& j, const char* key) {
+  const std::int64_t value = int_at(j, key);
+  if (value < 0 ||
+      static_cast<std::uint64_t>(value) > std::numeric_limits<T>::max())
+    throw JsonError(std::string("out of range: ") + key);
+  return static_cast<T>(value);
+}
+
+template <typename T>
+std::optional<T> optional_uint_at(const Json& j, const char* key) {
+  if (!j.contains(key)) return std::nullopt;
+  return uint_at<T>(j, key);
+}
+
+/// A [begin, end] pair of time fields; an inverted window is malformed.
+TimeWindow window_at(const Json& j, const char* begin, const char* end) {
+  const SimTime b = int_at(j, begin);
+  const SimTime e = int_at(j, end);
+  if (e < b) throw JsonError(std::string("inverted window: ") + end);
+  return TimeWindow{b, e};
+}
+
+template <typename T, typename Decode>
+std::vector<T> array_at(const Json& j, const char* key, Decode decode) {
+  std::vector<T> out;
+  for (const auto& e : j.at(key).as_array()) out.push_back(decode(e));
+  return out;
+}
+
+template <typename Range, typename Encode>
+Json array_of(const Range& items, Encode encode) {
+  Json arr = Json::array();
+  for (const auto& item : items) arr.push_back(encode(item));
+  return arr;
+}
+
+const auto encode = [](const auto& record) { return to_json(record); };
+
+Granularity granularity_from_string(const std::string& s) {
+  if (s == "area") return Granularity::Area;
+  if (s == "building") return Granularity::Building;
+  if (s == "room") return Granularity::Room;
+  throw JsonError("unknown granularity: " + s);
+}
+
+}  // namespace
+
+std::string hex64(std::uint64_t value) {
+  return strfmt("%016llx", static_cast<unsigned long long>(value));
+}
+
+std::uint64_t hex64_from_json(const Json& j) {
+  const std::string& text = j.as_string();
+  const char* last = text.data() + text.size();
+  std::uint64_t value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), last, value, 16);
+  if (text.size() > 16 || ec != std::errc() || end != last)
+    throw JsonError("bad hex64: " + text);
+  return value;
+}
+
 Json to_json(const world::CellId& cell) {
-  Json j = Json::object();
-  j.set("mcc", static_cast<std::int64_t>(cell.mcc));
-  j.set("mnc", static_cast<std::int64_t>(cell.mnc));
-  j.set("lac", static_cast<std::int64_t>(cell.lac));
-  j.set("cid", static_cast<std::int64_t>(cell.cid));
-  j.set("radio", cell.radio == world::Radio::Gsm2G ? "2g" : "3g");
-  return j;
+  return Json::Object{
+      {"mcc", static_cast<std::int64_t>(cell.mcc)},
+      {"mnc", static_cast<std::int64_t>(cell.mnc)},
+      {"lac", static_cast<std::int64_t>(cell.lac)},
+      {"cid", static_cast<std::int64_t>(cell.cid)},
+      {"radio", cell.radio == world::Radio::Gsm2G ? "2g" : "3g"}};
 }
 
 world::CellId cell_from_json(const Json& j) {
-  world::CellId cell;
-  cell.mcc = static_cast<std::uint16_t>(j.at("mcc").as_int());
-  cell.mnc = static_cast<std::uint16_t>(j.at("mnc").as_int());
-  cell.lac = static_cast<std::uint16_t>(j.at("lac").as_int());
-  cell.cid = static_cast<std::uint32_t>(j.at("cid").as_int());
-  cell.radio = j.get_string("radio", "2g") == "3g" ? world::Radio::Umts3G
-                                                   : world::Radio::Gsm2G;
-  return cell;
+  const std::string& radio = j.at("radio").as_string();
+  if (radio != "2g" && radio != "3g")
+    throw JsonError("unknown radio: " + radio);
+  return {uint_at<std::uint16_t>(j, "mcc"), uint_at<std::uint16_t>(j, "mnc"),
+          uint_at<std::uint16_t>(j, "lac"), uint_at<std::uint32_t>(j, "cid"),
+          radio == "3g" ? world::Radio::Umts3G : world::Radio::Gsm2G};
 }
 
 Json to_json(const geo::LatLng& p) {
-  Json j = Json::object();
-  j.set("lat", p.lat);
-  j.set("lng", p.lng);
-  return j;
+  return Json::Object{{"lat", p.lat}, {"lng", p.lng}};
 }
 
 geo::LatLng latlng_from_json(const Json& j) {
@@ -46,24 +113,17 @@ geo::LatLng latlng_from_json(const Json& j) {
 }
 
 Json to_json(const algorithms::PlaceSignature& sig) {
-  Json j = Json::object();
-  if (const auto* c = std::get_if<algorithms::CellSignature>(&sig)) {
-    j.set("kind", "cells");
-    Json arr = Json::array();
-    for (const auto& cell : c->cells) arr.push_back(to_json(cell));
-    j.set("cells", std::move(arr));
-  } else if (const auto* w = std::get_if<algorithms::WifiSignature>(&sig)) {
-    j.set("kind", "wifi");
-    Json arr = Json::array();
-    for (world::Bssid b : w->aps) arr.push_back(static_cast<std::uint64_t>(b));
-    j.set("aps", std::move(arr));
-  } else {
-    const auto& g = std::get<algorithms::GpsSignature>(sig);
-    j.set("kind", "gps");
-    j.set("center", to_json(g.center));
-    j.set("radius_m", g.radius_m);
-  }
-  return j;
+  if (const auto* c = std::get_if<algorithms::CellSignature>(&sig))
+    return Json::Object{{"kind", "cells"},
+                        {"cells", array_of(c->cells, encode)}};
+  if (const auto* w = std::get_if<algorithms::WifiSignature>(&sig))
+    return Json::Object{{"kind", "wifi"},
+                        {"aps", array_of(w->aps, [](world::Bssid b) {
+                           return Json(static_cast<std::uint64_t>(b));
+                         })}};
+  const auto& g = std::get<algorithms::GpsSignature>(sig);
+  return Json::Object{
+      {"kind", "gps"}, {"center", to_json(g.center)}, {"radius_m", g.radius_m}};
 }
 
 algorithms::PlaceSignature signature_from_json(const Json& j) {
@@ -76,128 +136,344 @@ algorithms::PlaceSignature signature_from_json(const Json& j) {
   }
   if (kind == "wifi") {
     algorithms::WifiSignature sig;
-    for (const auto& b : j.at("aps").as_array())
+    for (const auto& b : j.at("aps").as_array()) {
+      if (b.as_int() < 0) throw JsonError("negative bssid");
       sig.aps.insert(static_cast<world::Bssid>(b.as_int()));
+    }
     return sig;
   }
-  if (kind == "gps") {
-    algorithms::GpsSignature sig;
-    sig.center = latlng_from_json(j.at("center"));
-    sig.radius_m = j.at("radius_m").as_double();
-    return sig;
-  }
+  if (kind == "gps")
+    return algorithms::GpsSignature{latlng_from_json(j.at("center")),
+                                    j.at("radius_m").as_double()};
   throw JsonError("unknown signature kind: " + kind);
 }
 
-Json to_json(const PlaceRecord& record) {
-  Json j = Json::object();
-  j.set("uid", static_cast<std::uint64_t>(record.uid));
-  j.set("signature", to_json(record.signature));
-  j.set("label", record.label);
-  if (record.location) j.set("location", to_json(*record.location));
-  j.set("granularity", to_string(record.granularity));
-  j.set("visit_count", static_cast<std::uint64_t>(record.visit_count));
-  j.set("total_dwell", static_cast<std::int64_t>(record.total_dwell));
+Json to_json(const algorithms::CellObservation& obs) {
+  Json j = Json::Object{{"t", obs.t}};
+  j.set("cell", to_json(obs.cell));
   return j;
 }
 
-namespace {
-
-Granularity granularity_from_string(const std::string& s) {
-  if (s == "area") return Granularity::Area;
-  if (s == "building") return Granularity::Building;
-  if (s == "room") return Granularity::Room;
-  throw JsonError("unknown granularity: " + s);
+algorithms::CellObservation cell_observation_from_json(const Json& j) {
+  return {int_at(j, "t"), cell_from_json(j.at("cell"))};
 }
 
-}  // namespace
+Json to_json(const algorithms::RouteObservation& route) {
+  Json j = Json::Object{{"from", static_cast<std::uint64_t>(route.from_place)},
+                        {"to", static_cast<std::uint64_t>(route.to_place)},
+                        {"start", route.window.begin},
+                        {"end", route.window.end}};
+  Json cells = Json::array();
+  for (std::size_t i = 0; i < route.cells.cells.size(); ++i)
+    cells.push_back(to_json(algorithms::CellObservation{
+        route.cells.times[i], route.cells.cells[i]}));
+  if (cells.size() > 0) j.set("cells", std::move(cells));
+  Json gps = Json::array();  // {lat, lng, t} fixes
+  for (std::size_t i = 0; i < route.gps.points.size(); ++i) {
+    Json fix = to_json(route.gps.points[i]);
+    fix.set("t", route.gps.times[i]);
+    gps.push_back(std::move(fix));
+  }
+  if (gps.size() > 0) j.set("gps", std::move(gps));
+  return j;
+}
+
+algorithms::RouteObservation route_observation_from_json(const Json& j) {
+  algorithms::RouteObservation route;
+  route.from_place = uint_at<std::size_t>(j, "from");
+  route.to_place = uint_at<std::size_t>(j, "to");
+  route.window = window_at(j, "start", "end");
+  if (j.contains("cells")) {
+    for (const auto& c : j.at("cells").as_array()) {
+      const algorithms::CellObservation obs = cell_observation_from_json(c);
+      route.cells.times.push_back(obs.t);
+      route.cells.cells.push_back(obs.cell);
+    }
+  }
+  if (j.contains("gps")) {
+    for (const auto& g : j.at("gps").as_array()) {
+      route.gps.times.push_back(int_at(g, "t"));
+      route.gps.points.push_back(latlng_from_json(g));
+    }
+  }
+  return route;
+}
+
+Json to_json(const algorithms::CanonicalRoute& route) {
+  Json j = to_json(route.representative);
+  j.set("use_count", static_cast<std::uint64_t>(route.use_count));
+  return j;
+}
+
+algorithms::CanonicalRoute canonical_route_from_json(const Json& j) {
+  return {route_observation_from_json(j), uint_at<std::size_t>(j, "use_count")};
+}
+
+Json route_summary_to_json(std::size_t uid,
+                           const algorithms::CanonicalRoute& route) {
+  return Json::Object{
+      {"route_uid", static_cast<std::uint64_t>(uid)},
+      {"from", static_cast<std::uint64_t>(route.representative.from_place)},
+      {"to", static_cast<std::uint64_t>(route.representative.to_place)},
+      {"use_count", static_cast<std::uint64_t>(route.use_count)}};
+}
+
+Json to_json(const RouteEvent& event) {
+  return Json::Object{{"route_uid", event.route_uid},
+                      {"from", event.from},
+                      {"to", event.to},
+                      {"start", event.window.begin},
+                      {"end", event.window.end},
+                      {"high_accuracy", event.high_accuracy}};
+}
+
+RouteEvent route_event_from_json(const Json& j) {
+  return {uint_at<std::uint64_t>(j, "route_uid"), uint_at<PlaceUid>(j, "from"),
+          uint_at<PlaceUid>(j, "to"), window_at(j, "start", "end"),
+          j.at("high_accuracy").as_bool()};
+}
+
+Json to_json(const EncounterEntry& encounter) {
+  return Json::Object{
+      {"contact", static_cast<std::uint64_t>(encounter.contact)},
+      {"place", static_cast<std::uint64_t>(encounter.place)},
+      {"start", encounter.start},
+      {"end", encounter.end}};
+}
+
+EncounterEntry encounter_from_json(const Json& j) {
+  const TimeWindow window = window_at(j, "start", "end");
+  return {uint_at<world::DeviceId>(j, "contact"), uint_at<PlaceUid>(j, "place"),
+          window.begin, window.end};
+}
+
+EncounterEntry to_entry(const EncounterEvent& event) {
+  return {event.contact, event.place, event.window.begin, event.window.end};
+}
+
+Json to_json(const ActivitySummary& activity) {
+  return Json::Object{{"still", activity.still},
+                      {"walking", activity.walking},
+                      {"vehicle", activity.vehicle}};
+}
+
+ActivitySummary activity_from_json(const Json& j) {
+  return {int_at(j, "still"), int_at(j, "walking"), int_at(j, "vehicle")};
+}
+
+Json to_json(const LoggedVisit& visit) {
+  return Json::Object{{"uid", static_cast<std::uint64_t>(visit.uid)},
+                      {"begin", visit.window.begin},
+                      {"end", visit.window.end}};
+}
+
+LoggedVisit logged_visit_from_json(const Json& j) {
+  return {uint_at<PlaceUid>(j, "uid"), window_at(j, "begin", "end")};
+}
+
+Json to_json(const PlaceRecord& record) {
+  Json j = Json::Object{
+      {"uid", static_cast<std::uint64_t>(record.uid)},
+      {"label", record.label},
+      {"granularity", to_string(record.granularity)},
+      {"visit_count", static_cast<std::uint64_t>(record.visit_count)},
+      {"total_dwell", static_cast<std::int64_t>(record.total_dwell)}};
+  j.set("signature", to_json(record.signature));
+  if (record.location) j.set("location", to_json(*record.location));
+  return j;
+}
 
 PlaceRecord place_record_from_json(const Json& j) {
   PlaceRecord record;
-  record.uid = static_cast<PlaceUid>(j.at("uid").as_int());
+  record.uid = uint_at<PlaceUid>(j, "uid");
   record.signature = signature_from_json(j.at("signature"));
-  record.label = j.get_string("label", "");
+  record.label = j.at("label").as_string();
   if (j.contains("location"))
     record.location = latlng_from_json(j.at("location"));
-  record.granularity =
-      granularity_from_string(j.get_string("granularity", "building"));
-  record.visit_count = static_cast<std::size_t>(j.get_int("visit_count", 0));
-  record.total_dwell = j.get_int("total_dwell", 0);
+  record.granularity = granularity_from_string(j.at("granularity").as_string());
+  record.visit_count = uint_at<std::size_t>(j, "visit_count");
+  record.total_dwell = int_at(j, "total_dwell");
   return record;
 }
 
-Json to_json(const MobilityProfile& profile) {
+Json place_listing_to_json(const std::map<PlaceUid, PlaceRecord>& places) {
   Json j = Json::object();
-  j.set("user", static_cast<std::uint64_t>(profile.user));
-  j.set("day", profile.day);
+  j.set("places", array_of(places, [](const auto& entry) {
+          return to_json(entry.second);
+        }));
+  return j;
+}
 
-  Json places = Json::array();
-  for (const auto& v : profile.places) {
-    Json e = Json::object();
-    e.set("place", static_cast<std::uint64_t>(v.place));
-    e.set("arrival", v.arrival);
-    e.set("departure", v.departure);
-    places.push_back(std::move(e));
-  }
-  j.set("places", std::move(places));
+std::vector<PlaceRecord> place_listing_from_json(const Json& j) {
+  return array_at<PlaceRecord>(j, "places", place_record_from_json);
+}
 
-  Json routes = Json::array();
-  for (const auto& r : profile.routes) {
-    Json e = Json::object();
-    e.set("route", static_cast<std::uint64_t>(r.route_uid));
-    e.set("start", r.start);
-    e.set("end", r.end);
-    routes.push_back(std::move(e));
-  }
-  j.set("routes", std::move(routes));
-
-  Json encounters = Json::array();
-  for (const auto& h : profile.encounters) {
-    Json e = Json::object();
-    e.set("contact", static_cast<std::uint64_t>(h.contact));
-    e.set("place", static_cast<std::uint64_t>(h.place));
-    e.set("start", h.start);
-    e.set("end", h.end);
-    encounters.push_back(std::move(e));
-  }
-  j.set("encounters", std::move(encounters));
-
-  if (!profile.activity.empty()) {
-    Json activity = Json::object();
-    activity.set("still", profile.activity.still);
-    activity.set("walking", profile.activity.walking);
-    activity.set("vehicle", profile.activity.vehicle);
-    j.set("activity", std::move(activity));
-  }
+Json to_json(const MobilityProfile& profile) {
+  Json j = Json::Object{{"user", static_cast<std::uint64_t>(profile.user)},
+                        {"day", profile.day}};
+  j.set("places", array_of(profile.places, [](const PlaceVisitEntry& v) {
+          return Json(Json::Object{
+              {"place", static_cast<std::uint64_t>(v.place)},
+              {"arrival", v.arrival},
+              {"departure", v.departure}});
+        }));
+  j.set("routes", array_of(profile.routes, [](const RouteEntry& r) {
+          return Json(Json::Object{
+              {"route", static_cast<std::uint64_t>(r.route_uid)},
+              {"start", r.start},
+              {"end", r.end}});
+        }));
+  j.set("encounters", array_of(profile.encounters, encode));
+  if (!profile.activity.empty()) j.set("activity", to_json(profile.activity));
   return j;
 }
 
 MobilityProfile profile_from_json(const Json& j) {
   MobilityProfile profile;
-  profile.user = static_cast<world::DeviceId>(j.at("user").as_int());
-  profile.day = j.at("day").as_int();
-  for (const auto& e : j.at("places").as_array()) {
-    profile.places.push_back({static_cast<PlaceUid>(e.at("place").as_int()),
-                              e.at("arrival").as_int(),
-                              e.at("departure").as_int()});
-  }
-  for (const auto& e : j.at("routes").as_array()) {
-    profile.routes.push_back({static_cast<std::uint64_t>(e.at("route").as_int()),
-                              e.at("start").as_int(), e.at("end").as_int()});
-  }
-  for (const auto& e : j.at("encounters").as_array()) {
-    profile.encounters.push_back(
-        {static_cast<world::DeviceId>(e.at("contact").as_int()),
-         static_cast<PlaceUid>(e.at("place").as_int()),
-         e.at("start").as_int(), e.at("end").as_int()});
-  }
-  if (j.contains("activity")) {
-    const Json& activity = j.at("activity");
-    profile.activity.still = activity.get_int("still", 0);
-    profile.activity.walking = activity.get_int("walking", 0);
-    profile.activity.vehicle = activity.get_int("vehicle", 0);
-  }
+  profile.user = uint_at<world::DeviceId>(j, "user");
+  profile.day = int_at(j, "day");
+  profile.places = array_at<PlaceVisitEntry>(j, "places", [](const Json& e) {
+    const TimeWindow stay = window_at(e, "arrival", "departure");
+    return PlaceVisitEntry{uint_at<PlaceUid>(e, "place"), stay.begin, stay.end};
+  });
+  profile.routes = array_at<RouteEntry>(j, "routes", [](const Json& e) {
+    const TimeWindow trip = window_at(e, "start", "end");
+    return RouteEntry{uint_at<std::uint64_t>(e, "route"), trip.begin, trip.end};
+  });
+  profile.encounters =
+      array_at<EncounterEntry>(j, "encounters", encounter_from_json);
+  if (j.contains("activity"))
+    profile.activity = activity_from_json(j.at("activity"));
   return profile;
+}
+
+Json to_json(const OutboxEntry& entry) {
+  return Json::Object{{"kind", static_cast<std::int64_t>(entry.kind)},
+                      {"key", entry.key},
+                      {"key2", entry.key2},
+                      {"enqueued_at", entry.enqueued_at},
+                      {"attempts", static_cast<std::int64_t>(entry.attempts)},
+                      {"epoch", entry.epoch}};
+}
+
+OutboxEntry outbox_entry_from_json(const Json& j) {
+  const auto kind = uint_at<std::uint8_t>(j, "kind");
+  if (kind > static_cast<std::uint8_t>(SyncKind::EncounterBatch))
+    throw JsonError("unknown sync kind " + std::to_string(kind));
+  return {static_cast<SyncKind>(kind), uint_at<std::uint64_t>(j, "key"),
+          uint_at<std::uint64_t>(j, "key2"), int_at(j, "enqueued_at"),
+          uint_at<int>(j, "attempts"), uint_at<std::uint64_t>(j, "epoch")};
+}
+
+Json to_json(const algorithms::GcaResult& result) {
+  Json j = Json::object();
+  j.set("places", array_of(result.places, [](const algorithms::CellCluster& c) {
+          Json p = Json::Object{
+              {"total_dwell", static_cast<std::int64_t>(c.total_dwell)}};
+          p.set("signature", to_json(algorithms::PlaceSignature(c.signature)));
+          return p;
+        }));
+  j.set("visits",
+        array_of(result.visits, [](const algorithms::DiscoveredVisit& v) {
+          return Json(Json::Object{
+              {"place", static_cast<std::uint64_t>(v.place_index)},
+              {"arrival", v.window.begin},
+              {"departure", v.window.end}});
+        }));
+  return j;
+}
+
+algorithms::GcaResult gca_result_from_json(const Json& j) {
+  algorithms::GcaResult result;
+  for (const auto& p : j.at("places").as_array()) {
+    auto sig = signature_from_json(p.at("signature"));
+    auto* cells = std::get_if<algorithms::CellSignature>(&sig);
+    if (cells == nullptr) throw JsonError("GCA place without a cell signature");
+    for (const auto& cell : cells->cells)
+      result.cell_to_place[cell] = result.places.size();
+    result.places.push_back({std::move(*cells), int_at(p, "total_dwell")});
+  }
+  result.visits = array_at<algorithms::DiscoveredVisit>(
+      j, "visits", [&result](const Json& v) {
+        const auto place = uint_at<std::size_t>(v, "place");
+        if (place >= result.places.size())
+          throw JsonError("GCA visit names an unknown place");
+        return algorithms::DiscoveredVisit{
+            place, window_at(v, "arrival", "departure")};
+      });
+  return result;
+}
+
+Json discover_request_to_json(
+    std::span<const algorithms::CellObservation> observations,
+    std::optional<PrefixClaim> prefix) {
+  Json j = Json::object();
+  j.set("observations", array_of(observations, encode));
+  if (prefix) {
+    j.set("prefix_len", static_cast<std::int64_t>(prefix->len));
+    j.set("prefix_digest", hex64(prefix->digest));
+  }
+  return j;
+}
+
+DiscoverRequest discover_request_from_json(const Json& j) {
+  DiscoverRequest request{array_at<algorithms::CellObservation>(
+                              j, "observations", cell_observation_from_json),
+                          std::nullopt};
+  if (j.contains("prefix_len"))
+    request.prefix = PrefixClaim{uint_at<std::size_t>(j, "prefix_len"),
+                                 hex64_from_json(j.at("prefix_digest"))};
+  return request;
+}
+
+Json to_json(const RouteUpload& upload) {
+  Json j = to_json(upload.route);
+  if (upload.seq) j.set("seq", *upload.seq);
+  return j;
+}
+
+RouteUpload route_upload_from_json(const Json& j) {
+  return {optional_uint_at<std::uint64_t>(j, "seq"),
+          route_observation_from_json(j)};
+}
+
+Json to_json(const EncounterBatch& batch) {
+  Json j = Json::object();
+  if (batch.first_index) j.set("first_index", *batch.first_index);
+  j.set("encounters", array_of(batch.encounters, encode));
+  return j;
+}
+
+EncounterBatch encounter_batch_from_json(const Json& j) {
+  return {optional_uint_at<std::uint64_t>(j, "first_index"),
+          array_at<EncounterEntry>(j, "encounters", encounter_from_json)};
+}
+
+Json to_json(const SessionGrant& grant) {
+  Json j = Json::Object{{"user", static_cast<std::uint64_t>(grant.user)},
+                        {"token", grant.token},
+                        {"expires_at", grant.expires_at}};
+  if (grant.session) j.set("session", *grant.session);
+  return j;
+}
+
+SessionGrant session_grant_from_json(const Json& j) {
+  return {uint_at<world::DeviceId>(j, "user"), j.at("token").as_string(),
+          int_at(j, "expires_at"),
+          optional_uint_at<std::uint64_t>(j, "session")};
+}
+
+Json to_json(const PlaceEcho& echo) {
+  Json j = Json::Object{{"uid", static_cast<std::uint64_t>(echo.uid)}};
+  if (echo.location) j.set("location", to_json(*echo.location));
+  return j;
+}
+
+PlaceEcho place_echo_from_json(const Json& j) {
+  PlaceEcho echo{uint_at<PlaceUid>(j, "uid"), std::nullopt};
+  if (j.contains("location"))
+    echo.location = latlng_from_json(j.at("location"));
+  return echo;
 }
 
 }  // namespace pmware::core

@@ -1,12 +1,8 @@
 #include "core/outbox.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
-#include <string>
 
 #include "core/persistence.hpp"
-#include "util/json.hpp"
 
 namespace pmware::core {
 
@@ -58,42 +54,12 @@ bool SyncOutbox::remove(SyncKind kind, std::uint64_t key) {
   return true;
 }
 
-void SyncOutbox::save(std::ostream& out) const {
-  for (const OutboxEntry& entry : entries_) {
-    Json j = Json::object();
-    j.set("kind", static_cast<std::int64_t>(entry.kind));
-    j.set("key", entry.key);
-    j.set("key2", entry.key2);
-    j.set("enqueued_at", entry.enqueued_at);
-    j.set("attempts", static_cast<std::int64_t>(entry.attempts));
-    j.set("epoch", entry.epoch);
-    out << j.dump() << '\n';
-  }
-}
+void SyncOutbox::save(std::ostream& out) const { write_jsonl(out, entries_); }
 
 SyncOutbox::LoadResult SyncOutbox::load(std::istream& in) {
   LoadResult result;
   entries_.clear();
-  std::string line;
-  std::size_t number = 0;
-  while (std::getline(in, line)) {
-    ++number;
-    if (line.empty()) continue;
-    OutboxEntry entry;
-    try {
-      const Json j = Json::parse(line);
-      const std::int64_t kind = j.at("kind").as_int();
-      if (kind < 0 || kind > static_cast<std::int64_t>(SyncKind::EncounterBatch))
-        throw JsonError("unknown sync kind " + std::to_string(kind));
-      entry.kind = static_cast<SyncKind>(kind);
-      entry.key = static_cast<std::uint64_t>(j.at("key").as_int());
-      entry.key2 = static_cast<std::uint64_t>(j.at("key2").as_int());
-      entry.enqueued_at = j.at("enqueued_at").as_int();
-      entry.attempts = static_cast<int>(j.at("attempts").as_int());
-      entry.epoch = static_cast<std::uint64_t>(j.at("epoch").as_int());
-    } catch (const JsonError& error) {
-      throw PersistenceError(number, error.what());
-    }
+  for (const OutboxEntry& entry : read_jsonl(in, outbox_entry_from_json)) {
     if (config_.capacity > 0 && entries_.size() >= config_.capacity) {
       entries_.pop_front();
       ++result.evicted;

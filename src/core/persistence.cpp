@@ -1,120 +1,20 @@
 #include "core/persistence.hpp"
 
-#include <istream>
-#include <ostream>
-#include <string>
-
-#include "core/codec.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace pmware::core {
 
-namespace {
-
-/// Applies `parse` to every non-empty line; rethrows JSON errors as
-/// PersistenceError with the line number.
-///
-/// Crash tolerance: a malformed FINAL line that the stream cut off without a
-/// trailing newline is a torn append (the writer died mid-line), not
-/// corruption — the reader keeps the parsed prefix, counts the event in
-/// persistence_torn_tail_total, and returns instead of throwing. A complete
-/// (newline-terminated) line that fails to parse still throws: that is
-/// bit-rot, and silently skipping it would hide data loss.
-template <typename Fn>
-void for_each_line(std::istream& in, Fn parse) {
-  std::string line;
-  std::size_t number = 0;
-  while (std::getline(in, line)) {
-    ++number;
-    // getline sets eofbit exactly when this line ended at end-of-stream
-    // with no trailing '\n' — the torn-append signature.
-    const bool unterminated = in.eof();
-    if (line.empty()) continue;
-    try {
-      parse(Json::parse(line));
-    } catch (const JsonError& error) {
-      if (unterminated) {
-        telemetry::registry()
-            .counter("persistence_torn_tail_total", {},
-                     "JSONL reads that dropped a torn (unterminated, "
-                     "unparseable) final line and recovered the prefix")
-            .inc();
-        return;
-      }
-      throw PersistenceError(number, error.what());
-    } catch (const std::exception& error) {
-      // Structurally valid JSON whose values fail domain validation (a
-      // bit-rotted visit window with end < begin, say) is corruption too:
-      // surface it under the same contract as a malformed line.
-      throw PersistenceError(number, error.what());
-    }
-  }
-}
-
-}  // namespace
-
-void write_gsm_log(std::ostream& out,
-                   std::span<const algorithms::CellObservation> log) {
-  for (const auto& obs : log) {
-    Json j = Json::object();
-    j.set("t", obs.t);
-    j.set("cell", to_json(obs.cell));
-    out << j.dump() << '\n';
-  }
-}
-
-std::vector<algorithms::CellObservation> read_gsm_log(std::istream& in) {
-  std::vector<algorithms::CellObservation> log;
-  for_each_line(in, [&log](const Json& j) {
-    log.push_back({j.at("t").as_int(), cell_from_json(j.at("cell"))});
-  });
-  return log;
-}
-
-void write_visit_log(std::ostream& out, std::span<const LoggedVisit> log) {
-  for (const auto& visit : log) {
-    Json j = Json::object();
-    j.set("uid", static_cast<std::uint64_t>(visit.uid));
-    j.set("begin", visit.window.begin);
-    j.set("end", visit.window.end);
-    out << j.dump() << '\n';
-  }
-}
-
-std::vector<LoggedVisit> read_visit_log(std::istream& in) {
-  std::vector<LoggedVisit> log;
-  for_each_line(in, [&log](const Json& j) {
-    log.push_back({static_cast<PlaceUid>(j.at("uid").as_int()),
-                   TimeWindow{j.at("begin").as_int(), j.at("end").as_int()}});
-  });
-  return log;
-}
-
 void write_place_records(std::ostream& out, const PlaceStore& store) {
-  for (const auto& [uid, record] : store.records())
-    out << to_json(record).dump() << '\n';
+  write_jsonl(out, store.records(),
+              [](const auto& entry) { return to_json(entry.second); });
 }
 
-std::vector<PlaceRecord> read_place_records(std::istream& in) {
-  std::vector<PlaceRecord> records;
-  for_each_line(in, [&records](const Json& j) {
-    records.push_back(place_record_from_json(j));
-  });
-  return records;
-}
-
-void write_profiles(std::ostream& out,
-                    std::span<const MobilityProfile> profiles) {
-  for (const auto& profile : profiles)
-    out << to_json(profile).dump() << '\n';
-}
-
-std::vector<MobilityProfile> read_profiles(std::istream& in) {
-  std::vector<MobilityProfile> profiles;
-  for_each_line(in, [&profiles](const Json& j) {
-    profiles.push_back(profile_from_json(j));
-  });
-  return profiles;
+void count_torn_tail() {
+  telemetry::registry()
+      .counter("persistence_torn_tail_total", {},
+               "JSONL reads that dropped a torn (unterminated, unparseable) "
+               "final line and recovered the prefix")
+      .inc();
 }
 
 }  // namespace pmware::core

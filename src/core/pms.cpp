@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
+#include <optional>
 #include <sstream>
 
-#include "cache/digest.hpp"
 #include "core/codec.hpp"
 #include "core/persistence.hpp"
 #include "telemetry/metrics.hpp"
@@ -67,12 +66,25 @@ constexpr int kGcaCacheKey = 0;
 constexpr const char* kCheckpointFormat = "pms-checkpoint";
 constexpr std::int64_t kCheckpointVersion = 1;
 
-std::uint64_t parse_hex64(const std::string& text) {
-  return std::strtoull(text.c_str(), nullptr, 16);
+/// Decodes a 2xx response's body; nullopt when the request failed or the
+/// body is malformed, so the caller treats the exchange as failed instead
+/// of applying part of it.
+template <typename Decode>
+auto decode_ok(const net::HttpResponse& response, Decode decode)
+    -> std::optional<decltype(decode(response.body))> {
+  if (!response.ok()) return std::nullopt;
+  try {
+    return decode(response.body);
+  } catch (const JsonError&) {
+    return std::nullopt;
+  }
 }
 
-std::string hex64(std::uint64_t value) {
-  return strfmt("%016llx", static_cast<unsigned long long>(value));
+/// Place upsert body: the record without its locally cached location (see
+/// deliver()). Its digest is the record's sync-dirtiness mark.
+Json upsert_body(PlaceRecord record) {
+  record.location.reset();
+  return to_json(record);
 }
 
 }  // namespace
@@ -186,19 +198,20 @@ bool PmwareMobileService::register_with_cloud(SimTime now) {
   request.body.set("imei", config_.imei);
   request.body.set("email", config_.email);
   const net::HttpResponse response = client_->send(request);
-  if (!response.ok()) {
-    telemetry::slog_warn("pms", now, "registration failed: %d",
-                         response.status);
+  const auto grant = decode_ok(response, session_grant_from_json);
+  if (!grant) {
+    telemetry::slog_warn("pms", now, "registration failed: %d%s",
+                         response.status,
+                         response.ok() ? " (malformed response)" : "");
     return false;
   }
-  user_id_ = static_cast<world::DeviceId>(response.body.at("user").as_int());
-  client_->set_auth_token(response.body.at("token").as_string());
-  token_expires_ = response.body.at("expires_at").as_int();
+  user_id_ = grant->user;
+  client_->set_auth_token(grant->token);
+  token_expires_ = grant->expires_at;
   // The cloud counts registrations per device; that session number is this
   // incarnation's boot epoch (qualifies outbox replay sequence numbers,
   // keys wipe tombstones).
-  boot_epoch_ =
-      static_cast<std::uint64_t>(response.body.get_int("session", 0));
+  boot_epoch_ = grant->session.value_or(0);
   telemetry::slog_info("pms", now, "registered as user %u", *user_id_);
   return true;
 }
@@ -210,12 +223,14 @@ void PmwareMobileService::maybe_refresh_token(SimTime now) {
   net::HttpRequest request =
       make_request(net::Method::Post, "/api/token/refresh", now);
   const net::HttpResponse response = client_->send(request);
-  if (response.ok()) {
-    client_->set_auth_token(response.body.at("token").as_string());
-    token_expires_ = response.body.at("expires_at").as_int();
+  const auto grant = decode_ok(response, session_grant_from_json);
+  if (grant) {
+    client_->set_auth_token(grant->token);
+    token_expires_ = grant->expires_at;
     counter(kTokenRefreshes, "successful bearer-token refreshes").inc();
   } else {
-    // Expired beyond refresh: re-register (idempotent on imei/email).
+    // Expired beyond refresh (or an undecodable grant): re-register
+    // (idempotent on imei/email).
     register_with_cloud(now);
   }
 }
@@ -232,10 +247,7 @@ algorithms::GcaResult PmwareMobileService::offloaded_gca(
     upload_acked_ = 0;
     upload_digest_ = cache::kDigestBasis;
   }
-  for (std::size_t i = digest_fed_; i < observations.size(); ++i) {
-    cache::fold(digest_, static_cast<std::uint64_t>(observations[i].t));
-    cache::fold(digest_, observations[i].cell.key());
-  }
+  fold_movement(digest_, observations.subspan(digest_fed_));
   digest_fed_ = observations.size();
   const std::uint64_t graph_digest = digest_;
 
@@ -261,20 +273,10 @@ algorithms::GcaResult PmwareMobileService::offloaded_gca(
     auto build_request = [&](std::size_t from, bool with_prefix) {
       net::HttpRequest request =
           make_request(net::Method::Post, "/api/places/discover", now);
-      Json arr = Json::array();
-      for (std::size_t i = from; i < observations.size(); ++i) {
-        Json o = Json::object();
-        o.set("t", observations[i].t);
-        o.set("cell", to_json(observations[i].cell));
-        arr.push_back(std::move(o));
-      }
-      request.body = Json::object();
-      request.body.set("observations", std::move(arr));
-      if (with_prefix) {
-        request.body.set("prefix_len", static_cast<std::int64_t>(from));
-        request.body.set("prefix_digest", strfmt("%016llx",
-            static_cast<unsigned long long>(upload_digest_)));
-      }
+      request.body = discover_request_to_json(
+          observations.subspan(from),
+          with_prefix ? std::optional(PrefixClaim{from, upload_digest_})
+                      : std::nullopt);
       return request;
     };
     net::HttpResponse response =
@@ -286,34 +288,23 @@ algorithms::GcaResult PmwareMobileService::offloaded_gca(
           .inc();
       response = client_->send(build_request(0, false));
     }
-    if (response.ok()) {
+    // An undecodable 200 is a failed offload: nothing is acknowledged, so
+    // the next pass's prefix claim draws a 409 and a full upload re-syncs.
+    auto result = decode_ok(response, gca_result_from_json);
+    if (result) {
       upload_acked_ = observations.size();
       upload_digest_ = graph_digest;
       counter(kGcaOffloads, "GCA clustering passes offloaded to the cloud")
           .inc();
-      algorithms::GcaResult result;
-      for (const auto& p : response.body.at("places").as_array()) {
-        const auto sig = signature_from_json(p.at("signature"));
-        algorithms::CellCluster cluster;
-        cluster.signature = std::get<algorithms::CellSignature>(sig);
-        cluster.total_dwell = p.at("total_dwell").as_int();
-        const std::size_t index = result.places.size();
-        for (const auto& cell : cluster.signature.cells)
-          result.cell_to_place[cell] = index;
-        result.places.push_back(std::move(cluster));
-      }
-      for (const auto& v : response.body.at("visits").as_array()) {
-        result.visits.push_back(
-            {static_cast<std::size_t>(v.at("place").as_int()),
-             TimeWindow{v.at("arrival").as_int(), v.at("departure").as_int()}});
-      }
       // The cloud already recorded its own hit/recompute/miss for this
       // round trip; device-side we only remember the result.
-      if (gca_cache_) gca_cache_->put(kGcaCacheKey, result, graph_digest);
-      return result;
+      if (gca_cache_) gca_cache_->put(kGcaCacheKey, *result, graph_digest);
+      return *std::move(result);
     }
-    telemetry::slog_warn("pms", now, "GCA offload failed (%d); running locally",
-                         response.status);
+    telemetry::slog_warn("pms", now,
+                         "GCA offload failed (%d%s); running locally",
+                         response.status,
+                         response.ok() ? ", malformed response" : "");
   }
   counter(kGcaLocal, "GCA clustering passes run on-device").inc();
   telemetry::Span span(telemetry::tracer(), "pms.gca_local", now);
@@ -381,9 +372,7 @@ void PmwareMobileService::enqueue_sync_work(std::int64_t up_to, SimTime now) {
   // user may have tagged a label). Dirtiness is the digest of the exact
   // body deliver() would PUT.
   for (const auto& [uid, record] : place_store_.records()) {
-    PlaceRecord stripped = record;
-    stripped.location.reset();
-    const std::uint64_t digest = fnv1a(to_json(stripped).dump());
+    const std::uint64_t digest = fnv1a(upsert_body(record).dump());
     const auto it = synced_place_digest_.find(uid);
     if (it != synced_place_digest_.end() && it->second == digest) continue;
     enqueue(SyncKind::PlaceUpsert, static_cast<std::uint64_t>(uid), 0, now);
@@ -510,29 +499,29 @@ PmwareMobileService::DeliverOutcome PmwareMobileService::deliver(
       // so cloud state is a pure function of the record content — a
       // replayed upsert after an outage converges to the same bytes as the
       // never-failed run (DESIGN.md "Failure model & recovery").
-      PlaceRecord stripped = *record;
-      stripped.location.reset();
       net::HttpRequest request = entry_request(
           net::Method::Put, strfmt("/api/users/%u/places/%llu", *user_id_,
                                    static_cast<unsigned long long>(uid)));
-      request.body = to_json(stripped);
+      request.body = upsert_body(*record);
       const std::uint64_t digest = fnv1a(request.body.dump());
       const net::HttpResponse response = client_->send(request);
-      if (const DeliverOutcome outcome = verdict(response);
-          outcome != DeliverOutcome::Delivered) {
-        // Same wipe-honoring pin as ProfileDay: a tombstoned upsert stays
-        // "synced" so the fresh session never resurrects it.
-        if (outcome == DeliverOutcome::Gone) synced_place_digest_[uid] = digest;
-        return outcome;
-      }
+      // An undecodable echo is a failed delivery: the outbox retries it.
+      const auto echo = decode_ok(response, place_echo_from_json);
+      const DeliverOutcome outcome = verdict(response);
+      if (outcome == DeliverOutcome::Failed ||
+          (outcome == DeliverOutcome::Delivered && !echo))
+        return DeliverOutcome::Failed;
+      // Same wipe-honoring pin as ProfileDay: a tombstoned upsert stays
+      // "synced" so the fresh session never resurrects it.
+      synced_place_digest_[uid] = digest;
+      if (outcome == DeliverOutcome::Gone) return outcome;
       // Cache the echoed resolution (geofencing and the map UI need
       // positions on-device) — from every echo, so the local view follows
       // the cloud's current resolution instead of pinning the first one.
-      if (response.body.contains("location")) {
+      if (echo->location) {
         if (PlaceRecord* mut = place_store_.get_mutable(uid))
-          mut->location = latlng_from_json(response.body.at("location"));
+          mut->location = echo->location;
       }
-      synced_place_digest_[uid] = digest;
       return DeliverOutcome::Delivered;
     }
     case SyncKind::PlaceDelete: {
@@ -559,37 +548,15 @@ PmwareMobileService::DeliverOutcome PmwareMobileService::deliver(
           canonical[event.route_uid].representative;
       net::HttpRequest request = entry_request(
           net::Method::Post, strfmt("/api/users/%u/routes", *user_id_));
-      request.body = Json::object();
       // Replay guard: the cloud skips sequence numbers it already applied.
       // Qualified by the boot epoch the entry was enqueued under: a
       // checkpointed entry replayed after a crash keeps its original
       // sequence number (the cloud's high-water mark dedups a pre-crash
       // delivery), while the new incarnation's fresh log indices sit in a
       // strictly higher epoch and can never be wrongly deduplicated.
-      request.body.set("seq", (entry.epoch << 32) | entry.key);
-      request.body.set("from", static_cast<std::uint64_t>(event.from));
-      request.body.set("to", static_cast<std::uint64_t>(event.to));
-      request.body.set("start", event.window.begin);
-      request.body.set("end", event.window.end);
-      if (!rep.cells.cells.empty()) {
-        Json cells = Json::array();
-        for (std::size_t i = 0; i < rep.cells.cells.size(); ++i) {
-          Json c = Json::object();
-          c.set("t", rep.cells.times[i]);
-          c.set("cell", to_json(rep.cells.cells[i]));
-          cells.push_back(std::move(c));
-        }
-        request.body.set("cells", std::move(cells));
-      }
-      if (!rep.gps.points.empty()) {
-        Json gps = Json::array();
-        for (std::size_t i = 0; i < rep.gps.points.size(); ++i) {
-          Json g = to_json(rep.gps.points[i]);
-          g.set("t", rep.gps.times[i]);
-          gps.push_back(std::move(g));
-        }
-        request.body.set("gps", std::move(gps));
-      }
+      request.body = to_json(RouteUpload{
+          (entry.epoch << 32) | entry.key,
+          {event.from, event.to, event.window, rep.gps, rep.cells}});
       return verdict(client_->send(request));
     }
     case SyncKind::EncounterBatch: {
@@ -600,22 +567,13 @@ PmwareMobileService::DeliverOutcome PmwareMobileService::deliver(
       if (first >= last) return DeliverOutcome::Delivered;
       net::HttpRequest request = entry_request(
           net::Method::Post, strfmt("/api/users/%u/contacts", *user_id_));
-      Json encounters = Json::array();
-      for (std::size_t i = first; i < last; ++i) {
-        const EncounterEvent& event = encounter_log[i];
-        Json e = Json::object();
-        e.set("contact", static_cast<std::uint64_t>(event.contact));
-        e.set("place", static_cast<std::uint64_t>(event.place));
-        e.set("start", event.window.begin);
-        e.set("end", event.window.end);
-        encounters.push_back(std::move(e));
-      }
-      request.body = Json::object();
       // Replay guard: the cloud trims entries below its high-water mark.
       // Epoch-qualified like route sequence numbers; same-epoch ranges are
       // contiguous, so the cloud's trim arithmetic stays exact.
-      request.body.set("first_index", (entry.epoch << 32) | entry.key);
-      request.body.set("encounters", std::move(encounters));
+      EncounterBatch batch{(entry.epoch << 32) | entry.key, {}};
+      for (std::size_t i = first; i < last; ++i)
+        batch.encounters.push_back(to_entry(encounter_log[i]));
+      request.body = to_json(batch);
       return verdict(client_->send(request));
     }
   }
@@ -797,196 +755,83 @@ bool PmwareMobileService::wipe_cloud_data(SimTime now) {
 }
 
 void PmwareMobileService::save(std::ostream& out) const {
-  std::ostringstream body;
-  const auto emit_section = [&body](const char* name,
-                                    const std::string& payload) {
-    std::size_t lines = 0;
-    for (const char c : payload) lines += (c == '\n');
-    Json header = Json::object();
-    header.set("section", name);
-    header.set("lines", static_cast<std::int64_t>(lines));
-    body << header.dump() << '\n' << payload;
+  const auto count_lines = [](const std::string& text) {
+    return static_cast<std::int64_t>(
+        std::count(text.begin(), text.end(), '\n'));
+  };
+  std::string body;
+  const auto emit_section = [&](const char* name, const std::string& payload) {
+    const Json header =
+        Json::Object{{"section", name}, {"lines", count_lines(payload)}};
+    body += header.dump() + '\n';
+    body += payload;
+  };
+  // One JSONL record per line; `encode` defaults to the record's codec.
+  const auto emit_records = [&emit_section](const char* name,
+                                            const auto& records,
+                                            const auto&... encode) {
+    std::ostringstream s;
+    write_jsonl(s, records, encode...);
+    emit_section(name, s.str());
   };
 
-  {
-    Json j = Json::object();
-    j.set("registration_wanted", registration_wanted_);
-    j.set("next_uid", place_store_.next_uid());
-    j.set("routes_enqueued", static_cast<std::uint64_t>(routes_enqueued_));
-    j.set("encounters_enqueued",
-          static_cast<std::uint64_t>(encounters_enqueued_));
-    // Suffix-upload state: the cloud retained this device's GSM stream, so
-    // the restored incarnation can keep shipping suffixes. If the cloud saw
-    // more than the checkpoint remembers (a pre-crash offload), the prefix
-    // claim fails, the next pass answers 409, and a full upload re-syncs —
-    // self-healing, never silently wrong.
-    j.set("digest_fed", static_cast<std::uint64_t>(digest_fed_));
-    j.set("digest", hex64(digest_));
-    j.set("upload_acked", static_cast<std::uint64_t>(upload_acked_));
-    j.set("upload_digest", hex64(upload_digest_));
-    emit_section("scalars", j.dump() + "\n");
-  }
-  {
-    Json j = Json::object();
-    j.set("sharing_enabled", preferences_.sharing_enabled());
-    Json caps = Json::array();
-    for (const auto& [app, cap] : preferences_.caps()) {
-      Json c = Json::object();
-      c.set("app", app);
-      c.set("cap", static_cast<std::int64_t>(cap));
-      caps.push_back(std::move(c));
-    }
-    j.set("caps", std::move(caps));
-    emit_section("preferences", j.dump() + "\n");
-  }
-  {
-    std::ostringstream s;
-    write_gsm_log(s, engine_.gsm_log());
-    emit_section("gsm_log", s.str());
-  }
-  {
-    std::ostringstream s;
-    write_visit_log(s, engine_.visit_log());
-    emit_section("visit_log", s.str());
-  }
-  {
-    std::ostringstream s;
-    write_place_records(s, place_store_);
-    emit_section("places", s.str());
-  }
-  {
-    // Day profiles are a derived export (recomputed from the logs above),
-    // checkpointed so the on-disk artifact is a complete account of the
-    // device; restore() validates and discards them.
-    std::int64_t last_day = -1;
-    const auto bump = [&last_day](const TimeWindow& w) {
-      last_day = std::max(last_day, day_of(std::max(w.end - 1, w.begin)));
-    };
-    for (const auto& visit : engine_.visit_log()) bump(visit.window);
-    for (const auto& route : engine_.route_log()) bump(route.window);
-    for (const auto& enc : engine_.encounter_log()) bump(enc.window);
-    if (!engine_.activity_log().empty())
-      last_day = std::max(last_day, engine_.activity_log().rbegin()->first);
-    std::vector<MobilityProfile> profiles;
-    for (std::int64_t day = 0; day <= last_day; ++day) {
-      MobilityProfile profile = profile_for(day);
-      if (!profile.empty()) profiles.push_back(std::move(profile));
-    }
-    std::ostringstream s;
-    write_profiles(s, profiles);
-    emit_section("profiles", s.str());
-  }
-  {
-    std::ostringstream s;
-    for (const auto& event : engine_.route_log()) {
-      Json j = Json::object();
-      j.set("route_uid", event.route_uid);
-      j.set("from", event.from);
-      j.set("to", event.to);
-      j.set("start", event.window.begin);
-      j.set("end", event.window.end);
-      j.set("high_accuracy", event.high_accuracy);
-      s << j.dump() << '\n';
-    }
-    emit_section("route_log", s.str());
-  }
-  {
-    std::ostringstream s;
-    for (const auto& route : engine_.routes().routes()) {
-      const algorithms::RouteObservation& rep = route.representative;
-      Json j = Json::object();
-      j.set("use_count", static_cast<std::uint64_t>(route.use_count));
-      j.set("from", static_cast<std::uint64_t>(rep.from_place));
-      j.set("to", static_cast<std::uint64_t>(rep.to_place));
-      j.set("start", rep.window.begin);
-      j.set("end", rep.window.end);
-      if (!rep.cells.cells.empty()) {
-        Json cells = Json::array();
-        for (std::size_t i = 0; i < rep.cells.cells.size(); ++i) {
-          Json c = Json::object();
-          c.set("t", rep.cells.times[i]);
-          c.set("cell", to_json(rep.cells.cells[i]));
-          cells.push_back(std::move(c));
-        }
-        j.set("cells", std::move(cells));
-      }
-      if (!rep.gps.points.empty()) {
-        Json gps = Json::array();
-        for (std::size_t i = 0; i < rep.gps.points.size(); ++i) {
-          Json g = to_json(rep.gps.points[i]);
-          g.set("t", rep.gps.times[i]);
-          gps.push_back(std::move(g));
-        }
-        j.set("gps", std::move(gps));
-      }
-      s << j.dump() << '\n';
-    }
-    emit_section("route_store", s.str());
-  }
-  {
-    std::ostringstream s;
-    for (const auto& enc : engine_.encounter_log()) {
-      Json j = Json::object();
-      j.set("contact", static_cast<std::uint64_t>(enc.contact));
-      j.set("place", enc.place);
-      j.set("start", enc.window.begin);
-      j.set("end", enc.window.end);
-      s << j.dump() << '\n';
-    }
-    emit_section("encounters", s.str());
-  }
-  {
-    std::ostringstream s;
-    for (const auto& [day, summary] : engine_.activity_log()) {
-      Json j = Json::object();
-      j.set("day", day);
-      j.set("still", summary.still);
-      j.set("walking", summary.walking);
-      j.set("vehicle", summary.vehicle);
-      s << j.dump() << '\n';
-    }
-    emit_section("activity", s.str());
-  }
-  {
-    std::ostringstream s;
-    outbox_.save(s);
-    emit_section("outbox", s.str());
-  }
-  {
-    std::ostringstream s;
-    for (const auto& [day, digest] : synced_day_digest_) {
-      Json j = Json::object();
-      j.set("day", day);
-      j.set("digest", hex64(digest));
-      s << j.dump() << '\n';
-    }
-    emit_section("synced_days", s.str());
-  }
-  {
-    std::ostringstream s;
-    for (const auto& [uid, digest] : synced_place_digest_) {
-      Json j = Json::object();
-      j.set("uid", uid);
-      j.set("digest", hex64(digest));
-      s << j.dump() << '\n';
-    }
-    emit_section("synced_places", s.str());
-  }
+  // Suffix-upload state (digest_fed .. upload_digest): the cloud retained
+  // this device's GSM stream, so the restored incarnation can keep shipping
+  // suffixes. If the cloud saw more than the checkpoint remembers (a
+  // pre-crash offload), the prefix claim fails, the next pass answers 409,
+  // and a full upload re-syncs — self-healing, never silently wrong.
+  const Json scalars = Json::Object{
+      {"registration_wanted", registration_wanted_},
+      {"next_uid", place_store_.next_uid()},
+      {"routes_enqueued", static_cast<std::uint64_t>(routes_enqueued_)},
+      {"encounters_enqueued", static_cast<std::uint64_t>(encounters_enqueued_)},
+      {"digest_fed", static_cast<std::uint64_t>(digest_fed_)},
+      {"digest", hex64(digest_)},
+      {"upload_acked", static_cast<std::uint64_t>(upload_acked_)},
+      {"upload_digest", hex64(upload_digest_)}};
+  emit_section("scalars", scalars.dump() + "\n");
+  Json caps = Json::array();
+  for (const auto& [app, cap] : preferences_.caps())
+    caps.push_back(Json::Object{{"app", app},
+                                {"cap", static_cast<std::int64_t>(cap)}});
+  const Json preferences = Json::Object{
+      {"sharing_enabled", preferences_.sharing_enabled()}, {"caps", caps}};
+  emit_section("preferences", preferences.dump() + "\n");
+  emit_records("gsm_log", engine_.gsm_log());
+  emit_records("visit_log", engine_.visit_log());
+  emit_records("places", place_store_.records(),
+               [](const auto& kv) { return to_json(kv.second); });
+  // Day profiles are not checkpointed: they are derived from the logs above
+  // (profile_for), and restore() skips the section in older checkpoints.
+  emit_records("route_log", engine_.route_log());
+  emit_records("route_store", engine_.routes().routes());
+  emit_records("encounters", engine_.encounter_log(),
+               [](const EncounterEvent& e) { return to_json(to_entry(e)); });
+  emit_records("activity", engine_.activity_log(), [](const auto& kv) {
+    Json j = to_json(kv.second);
+    j.set("day", kv.first);
+    return j;
+  });
+  std::ostringstream outbox;
+  outbox_.save(outbox);
+  emit_section("outbox", outbox.str());
+  emit_records("synced_days", synced_day_digest_, [](const auto& kv) {
+    return Json(Json::Object{{"day", kv.first}, {"digest", hex64(kv.second)}});
+  });
+  emit_records("synced_places", synced_place_digest_, [](const auto& kv) {
+    return Json(Json::Object{{"uid", kv.first}, {"digest", hex64(kv.second)}});
+  });
 
-  const std::string payload = body.str();
-  std::size_t total_lines = 0;
-  for (const char c : payload) total_lines += (c == '\n');
-  Json manifest = Json::object();
-  manifest.set("format", kCheckpointFormat);
-  manifest.set("version", kCheckpointVersion);
-  manifest.set("lines", static_cast<std::int64_t>(total_lines));
-  manifest.set("digest", hex64(fnv1a(payload)));
-  const std::string head = manifest.dump();
-  out << head << '\n' << payload;
+  const std::string head = Json(Json::Object{{"format", kCheckpointFormat},
+                                             {"version", kCheckpointVersion},
+                                             {"lines", count_lines(body)},
+                                             {"digest", hex64(fnv1a(body))}})
+                               .dump();
+  out << head << '\n' << body;
   telemetry::registry()
       .histogram(kCheckpointBytes, {}, 0, 1 << 20, 64,
                  "serialized PMS checkpoint size in bytes")
-      .observe(static_cast<double>(head.size() + 1 + payload.size()));
+      .observe(static_cast<double>(head.size() + 1 + body.size()));
 }
 
 bool PmwareMobileService::restore(std::istream& in) {
@@ -1002,7 +847,7 @@ bool PmwareMobileService::restore(std::istream& in) {
     const std::int64_t lines = manifest.get_int("lines", -1);
     if (lines < 0) return false;
     expected_lines = static_cast<std::size_t>(lines);
-    expected_digest = parse_hex64(manifest.get_string("digest", ""));
+    expected_digest = hex64_from_json(manifest.at("digest"));
   } catch (const JsonError&) {
     return false;
   }
@@ -1024,17 +869,12 @@ bool PmwareMobileService::restore(std::istream& in) {
   if (expected_lines > 0 && in.eof()) return false;
   if (fnv1a(payload) != expected_digest) return false;
 
-  // Parse every section into temporaries; nothing below commits until all
+  // Decode every section into temporaries; nothing below commits until all
   // of them decoded.
   InferenceEngine::LogSnapshot snapshot;
   std::vector<PlaceRecord> places;
-  PlaceUid next_uid = 1;
-  bool wanted = false;
-  std::size_t routes_enqueued = 0;
-  std::size_t encounters_enqueued = 0;
-  std::size_t digest_fed = 0;
+  Json scalars = Json::object();  // plain fields are read at commit
   std::uint64_t digest = kDigestBasis;
-  std::size_t upload_acked = 0;
   std::uint64_t upload_digest = kDigestBasis;
   bool sharing = true;
   std::vector<std::pair<std::string, Granularity>> caps;
@@ -1051,118 +891,69 @@ bool PmwareMobileService::restore(std::istream& in) {
       if (declared < 0 ||
           static_cast<std::size_t>(declared) > lines.size() - i)
         return false;
-      const std::size_t count = static_cast<std::size_t>(declared);
       std::string chunk;
-      for (std::size_t k = 0; k < count; ++k) {
-        chunk += lines[i + k];
+      for (const std::size_t end = i + static_cast<std::size_t>(declared);
+           i < end; ++i) {
+        chunk += lines[i];
         chunk += '\n';
       }
-      i += count;
       std::istringstream section(chunk);
-      if (name == "scalars") {
-        const Json j = Json::parse(lines[i - count]);
-        wanted = j.get_bool("registration_wanted", false);
-        next_uid = static_cast<PlaceUid>(j.get_int("next_uid", 1));
-        routes_enqueued =
-            static_cast<std::size_t>(j.get_int("routes_enqueued", 0));
-        encounters_enqueued =
-            static_cast<std::size_t>(j.get_int("encounters_enqueued", 0));
-        digest_fed = static_cast<std::size_t>(j.get_int("digest_fed", 0));
-        digest = parse_hex64(j.get_string("digest", "cbf29ce484222325"));
-        upload_acked =
-            static_cast<std::size_t>(j.get_int("upload_acked", 0));
-        upload_digest =
-            parse_hex64(j.get_string("upload_digest", "cbf29ce484222325"));
-      } else if (name == "preferences") {
-        const Json j = Json::parse(lines[i - count]);
-        sharing = j.get_bool("sharing_enabled", true);
-        if (j.contains("caps")) {
-          for (const auto& c : j.at("caps").as_array())
-            caps.emplace_back(
-                c.at("app").as_string(),
-                static_cast<Granularity>(c.at("cap").as_int()));
+      const auto decode = [&section](const auto& decoder) {
+        return read_jsonl(section, decoder);
+      };
+      if (name == "scalars" || name == "preferences") {
+        const auto records = decode([](const Json& j) { return j; });
+        if (records.size() != 1) return false;
+        const Json& j = records.front();
+        if (name == "scalars") {
+          scalars = j;
+          digest = hex64_from_json(j.at("digest"));
+          upload_digest = hex64_from_json(j.at("upload_digest"));
+        } else {
+          sharing = j.get_bool("sharing_enabled", true);
+          if (j.contains("caps")) {
+            for (const auto& c : j.at("caps").as_array())
+              caps.emplace_back(
+                  c.at("app").as_string(),
+                  static_cast<Granularity>(c.at("cap").as_int()));
+          }
         }
       } else if (name == "gsm_log") {
-        snapshot.gsm_log = read_gsm_log(section);
+        snapshot.gsm_log = decode(cell_observation_from_json);
       } else if (name == "visit_log") {
-        snapshot.visit_log = read_visit_log(section);
+        snapshot.visit_log = decode(logged_visit_from_json);
       } else if (name == "places") {
-        places = read_place_records(section);
-      } else if (name == "profiles") {
-        read_profiles(section);  // derived product: validate and discard
+        places = decode(place_record_from_json);
       } else if (name == "route_log") {
-        for (std::size_t k = 0; k < count; ++k) {
-          const Json j = Json::parse(lines[i - count + k]);
-          RouteEvent event;
-          event.route_uid =
-              static_cast<std::uint64_t>(j.get_int("route_uid", 0));
-          event.from = static_cast<PlaceUid>(j.get_int("from", 0));
-          event.to = static_cast<PlaceUid>(j.get_int("to", 0));
-          event.window =
-              TimeWindow{j.get_int("start", 0), j.get_int("end", 0)};
-          event.high_accuracy = j.get_bool("high_accuracy", false);
-          snapshot.route_log.push_back(event);
-        }
+        snapshot.route_log = decode(route_event_from_json);
       } else if (name == "route_store") {
-        for (std::size_t k = 0; k < count; ++k) {
-          const Json j = Json::parse(lines[i - count + k]);
-          algorithms::CanonicalRoute route;
-          route.use_count =
-              static_cast<std::size_t>(j.get_int("use_count", 1));
-          algorithms::RouteObservation& rep = route.representative;
-          rep.from_place = static_cast<std::size_t>(j.get_int("from", 0));
-          rep.to_place = static_cast<std::size_t>(j.get_int("to", 0));
-          rep.window = TimeWindow{j.get_int("start", 0), j.get_int("end", 0)};
-          if (j.contains("cells")) {
-            for (const auto& c : j.at("cells").as_array()) {
-              rep.cells.times.push_back(c.at("t").as_int());
-              rep.cells.cells.push_back(cell_from_json(c.at("cell")));
-            }
-          }
-          if (j.contains("gps")) {
-            for (const auto& g : j.at("gps").as_array()) {
-              rep.gps.times.push_back(g.at("t").as_int());
-              rep.gps.points.push_back(latlng_from_json(g));
-            }
-          }
-          snapshot.routes.push_back(std::move(route));
-        }
+        snapshot.routes = decode(canonical_route_from_json);
       } else if (name == "encounters") {
-        for (std::size_t k = 0; k < count; ++k) {
-          const Json j = Json::parse(lines[i - count + k]);
-          EncounterEvent event;
-          event.contact =
-              static_cast<world::DeviceId>(j.get_int("contact", 0));
-          event.place = static_cast<PlaceUid>(j.get_int("place", 0));
-          event.window =
-              TimeWindow{j.get_int("start", 0), j.get_int("end", 0)};
-          snapshot.encounter_log.push_back(event);
-        }
+        for (const EncounterEntry& e : decode(encounter_from_json))
+          snapshot.encounter_log.push_back(
+              {e.contact, e.place, TimeWindow{e.start, e.end}});
       } else if (name == "activity") {
-        for (std::size_t k = 0; k < count; ++k) {
-          const Json j = Json::parse(lines[i - count + k]);
-          ActivitySummary summary;
-          summary.still = j.get_int("still", 0);
-          summary.walking = j.get_int("walking", 0);
-          summary.vehicle = j.get_int("vehicle", 0);
-          snapshot.activity_by_day[j.get_int("day", 0)] = summary;
-        }
+        for (auto& [day, summary] : decode([](const Json& j) {
+               return std::pair(j.at("day").as_int(), activity_from_json(j));
+             }))
+          snapshot.activity_by_day[day] = summary;
       } else if (name == "outbox") {
         outbox_result = staged_outbox.load(section);
       } else if (name == "synced_days") {
-        for (std::size_t k = 0; k < count; ++k) {
-          const Json j = Json::parse(lines[i - count + k]);
-          synced_days[j.get_int("day", 0)] =
-              parse_hex64(j.get_string("digest", "0"));
-        }
+        for (const auto& [day, d] : decode([](const Json& j) {
+               return std::pair(j.at("day").as_int(),
+                                hex64_from_json(j.at("digest")));
+             }))
+          synced_days[day] = d;
       } else if (name == "synced_places") {
-        for (std::size_t k = 0; k < count; ++k) {
-          const Json j = Json::parse(lines[i - count + k]);
-          synced_places[static_cast<PlaceUid>(j.get_int("uid", 0))] =
-              parse_hex64(j.get_string("digest", "0"));
-        }
+        for (const auto& [uid, d] : decode([](const Json& j) {
+               return std::pair(j.at("uid").as_int(),
+                                hex64_from_json(j.at("digest")));
+             }))
+          synced_places[static_cast<PlaceUid>(uid)] = d;
       }
-      // Unknown sections skip silently (forward compatibility).
+      // Unknown sections — and "profiles", a derived product that older
+      // checkpoints carry — skip silently (forward compatibility).
     }
   } catch (const JsonError&) {
     return false;
@@ -1173,8 +964,12 @@ bool PmwareMobileService::restore(std::istream& in) {
   // Commit. Credentials are deliberately NOT restored: the caller must
   // re-register, which also assigns this incarnation a fresh boot epoch —
   // restored outbox entries keep the epoch they were enqueued under.
+  const auto size_field = [&scalars](const char* key) {
+    return static_cast<std::size_t>(scalars.get_int(key, 0));
+  };
   engine_.restore_logs(std::move(snapshot));
-  place_store_.restore(std::move(places), next_uid);
+  place_store_.restore(std::move(places),
+                       static_cast<PlaceUid>(scalars.get_int("next_uid", 1)));
   preferences_.set_sharing_enabled(sharing);
   for (const auto& [app, cap] : caps) preferences_.set_app_cap(app, cap);
   outbox_ = std::move(staged_outbox);
@@ -1184,15 +979,15 @@ bool PmwareMobileService::restore(std::istream& in) {
     outbox_enqueued_counter_->get().inc(outbox_result.loaded);
   if (outbox_result.evicted > 0)
     outbox_evicted_counter_->get().inc(outbox_result.evicted);
-  registration_wanted_ = wanted;
+  registration_wanted_ = scalars.get_bool("registration_wanted", false);
   user_id_.reset();
   token_expires_ = 0;
   boot_epoch_ = 0;
-  routes_enqueued_ = routes_enqueued;
-  encounters_enqueued_ = encounters_enqueued;
-  digest_fed_ = digest_fed;
+  routes_enqueued_ = size_field("routes_enqueued");
+  encounters_enqueued_ = size_field("encounters_enqueued");
+  digest_fed_ = size_field("digest_fed");
   digest_ = digest;
-  upload_acked_ = upload_acked;
+  upload_acked_ = size_field("upload_acked");
   upload_digest_ = upload_digest;
   synced_day_digest_ = std::move(synced_days);
   synced_place_digest_ = std::move(synced_places);
@@ -1219,27 +1014,18 @@ bool PmwareMobileService::cold_restart(SimTime now) {
   if (!register_with_cloud(now)) return false;
   const net::HttpResponse response = client_->send(make_request(
       net::Method::Get, strfmt("/api/users/%u/places", *user_id_), now));
-  if (response.ok()) {
-    std::vector<PlaceRecord> records;
-    try {
-      for (const auto& p : response.body.at("places").as_array())
-        records.push_back(place_record_from_json(p));
-    } catch (const JsonError&) {
-      records.clear();
-    }
+  if (auto records = decode_ok(response, place_listing_from_json)) {
     // These records ARE the cloud's current content: seed the sync marks so
     // re-upserting them verbatim is skipped, and restore with uid
     // continuity so re-discovered signatures converge on their old uids.
-    for (const auto& record : records) {
-      PlaceRecord stripped = record;
-      stripped.location.reset();
-      synced_place_digest_[record.uid] = fnv1a(to_json(stripped).dump());
-    }
-    place_store_.restore(std::move(records), 1);
+    for (const auto& record : *records)
+      synced_place_digest_[record.uid] = fnv1a(upsert_body(record).dump());
+    place_store_.restore(*std::move(records), 1);
   } else {
-    // The cloud's uid range is unknown (outage mid-recovery): park this
-    // incarnation's discoveries in a per-epoch uid namespace so they can
-    // never overwrite the cloud's retained records.
+    // The cloud's uid range is unknown (outage mid-recovery, or a listing
+    // that does not decode): park this incarnation's discoveries in a
+    // per-epoch uid namespace so they can never overwrite the cloud's
+    // retained records.
     place_store_.restore(
         {}, std::max<PlaceUid>(1, static_cast<PlaceUid>(boot_epoch_) << 20));
   }

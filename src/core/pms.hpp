@@ -121,8 +121,8 @@ class PmwareMobileService {
   // --- Crash-consistent lifecycle (DESIGN.md "Failure model & recovery") ---
 
   /// Serializes the complete checkpointable device state — GSM/visit logs,
-  /// place store, day-profile export, route/encounter logs, preferences, the
-  /// sync outbox, and the sync high-water marks — as sectioned JSONL led by
+  /// place store, route/encounter/activity logs, preferences, the sync
+  /// outbox, and the sync high-water marks — as sectioned JSONL led by
   /// a manifest line carrying a line count and content digest, so restore()
   /// can tell a torn checkpoint from a whole one.
   void save(std::ostream& out) const;

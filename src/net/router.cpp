@@ -159,6 +159,10 @@ HttpResponse Router::handle(const HttpRequest& request) const {
     HttpResponse response;
     try {
       response = best->handler(request, best_params);
+    } catch (const JsonError& e) {
+      // Handlers decode their whole body before they touch state, so an
+      // undecodable body is the client's error and changed nothing.
+      response = HttpResponse::error(kStatusBadRequest, e.what());
     } catch (const std::exception& e) {
       response = handler_threw(*best, sim_now, e.what());
     } catch (...) {

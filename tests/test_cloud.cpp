@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "core/codec.hpp"
 #include "net/client.hpp"
@@ -251,27 +252,31 @@ TEST_F(CloudFixture, GcaDiscoveryEndpoint) {
   EXPECT_EQ(std::get<algorithms::CellSignature>(sig).cells.size(), 2u);
 }
 
-// Last-resort catch: a body the discover handler cannot decode (a JSON
-// string where an object is expected) throws inside the handler. The router
-// maps it to a 500, counts and logs it under the request's trace, closes
-// the handler span, and storage is untouched.
+// Last-resort catch: a handler that throws anything other than JsonError
+// (a bug, not a bad request) gets a 500. The router counts and logs it under
+// the request's trace, closes the handler span, and storage is untouched.
 TEST_F(CloudFixture, ThrowingHandlerMapsTo500AndLeavesStorageUnchanged) {
   register_device();
+  cloud_.mutable_router().add_route(
+      Method::Post, "/api/boom",
+      [](const HttpRequest&, const net::PathParams&) -> HttpResponse {
+        throw std::runtime_error("boom");
+      });
   telemetry::tracer().reset();
   const std::uint64_t digest_before = cloud_.storage().content_digest();
-  const telemetry::LabelSet route{{"route", "/api/places/discover"}};
+  const telemetry::LabelSet route{{"route", "/api/boom"}};
   const std::uint64_t thrown_before = telemetry::registry().counter_value(
       "cloud_handler_exceptions_total", route);
 
   telemetry::TraceContext ctx;
-  HttpRequest discover = request(Method::Post, "/api/places/discover");
-  discover.body = Json("x");
+  HttpRequest boom = request(Method::Post, "/api/boom");
+  boom.body = Json::object();
   HttpResponse res;
   {
     telemetry::Span client(telemetry::tracer(), "test.client", 0);
     ctx = telemetry::tracer().current_context();
-    discover.set_trace_context(ctx);
-    res = cloud_.router().handle(discover);
+    boom.set_trace_context(ctx);
+    res = cloud_.router().handle(boom);
   }
   EXPECT_EQ(res.status, net::kStatusInternalError);
   EXPECT_EQ(cloud_.storage().content_digest(), digest_before);
@@ -286,8 +291,34 @@ TEST_F(CloudFixture, ThrowingHandlerMapsTo500AndLeavesStorageUnchanged) {
   EXPECT_TRUE(logged);
   bool span_closed = false;
   for (const auto& span : telemetry::tracer().records())
-    if (span.name == "cloud./api/places/discover") span_closed = span.finished;
+    if (span.name == "cloud./api/boom") span_closed = span.finished;
   EXPECT_TRUE(span_closed);
+}
+
+// An undecodable body (a JSON string where an object is expected) is the
+// client's error: the handler's decode throws JsonError before it touches
+// storage, and the router answers 400 without counting a handler exception.
+TEST_F(CloudFixture, UndecodableDiscoverBodyIs400AndLeavesStorageUnchanged) {
+  register_device();
+  const std::uint64_t digest_before = cloud_.storage().content_digest();
+  const std::string pattern = "/api/places/discover";
+  const std::uint64_t thrown_before = telemetry::registry().counter_value(
+      "cloud_handler_exceptions_total", {{"route", pattern}});
+  const telemetry::LabelSet bad_requests{
+      {"method", "POST"}, {"route", pattern}, {"status", "400"}};
+  const std::uint64_t bad_before =
+      telemetry::registry().counter_value("cloud_requests_total", bad_requests);
+
+  HttpRequest discover = request(Method::Post, pattern);
+  discover.body = Json("x");
+  EXPECT_EQ(cloud_.router().handle(discover).status, net::kStatusBadRequest);
+  EXPECT_EQ(cloud_.storage().content_digest(), digest_before);
+  EXPECT_EQ(telemetry::registry().counter_value(
+                "cloud_handler_exceptions_total", {{"route", pattern}}),
+            thrown_before);
+  EXPECT_EQ(
+      telemetry::registry().counter_value("cloud_requests_total", bad_requests),
+      bad_before + 1);
 }
 
 TEST_F(CloudFixture, RouteStoreEndpoints) {

@@ -5,6 +5,7 @@
 namespace pmware::core {
 namespace {
 
+using algorithms::CellObservation;
 using algorithms::CellSignature;
 using algorithms::GpsSignature;
 using algorithms::PlaceSignature;
@@ -135,6 +136,170 @@ TEST(Codec, GranularityNames) {
   EXPECT_STREQ(to_string(Granularity::Area), "area");
   EXPECT_STREQ(to_string(Granularity::Building), "building");
   EXPECT_STREQ(to_string(Granularity::Room), "room");
+}
+
+/// Text round trip: encode, serialize, parse, decode.
+template <typename T, typename Decode>
+T round_trip(const T& value, Decode decode) {
+  return decode(Json::parse(to_json(value).dump()));
+}
+
+algorithms::RouteObservation sample_route() {
+  algorithms::RouteObservation route;
+  route.from_place = 3;
+  route.to_place = 4;
+  route.window = TimeWindow{hours(8), hours(9)};
+  route.cells = {{hours(8), hours(8) + 60}, {cell(1), cell(2)}};
+  route.gps = {{hours(8) + 30}, {{28.6, 77.2}}};
+  return route;
+}
+
+TEST(Codec, RouteRecordsRoundTrip) {
+  const algorithms::RouteObservation route = sample_route();
+  const auto decoded = round_trip(route, route_observation_from_json);
+  EXPECT_EQ(decoded.from_place, 3u);
+  EXPECT_EQ(decoded.window, route.window);
+  EXPECT_EQ(decoded.cells.times, route.cells.times);
+  EXPECT_EQ(decoded.cells.cells, route.cells.cells);
+  EXPECT_EQ(decoded.gps.times, route.gps.times);
+  ASSERT_EQ(decoded.gps.points.size(), 1u);
+  EXPECT_NEAR(decoded.gps.points[0].lat, 28.6, 1e-9);
+
+  const auto canonical = round_trip(algorithms::CanonicalRoute{route, 5},
+                                    canonical_route_from_json);
+  EXPECT_EQ(canonical.use_count, 5u);
+  EXPECT_EQ(canonical.representative.cells.cells, route.cells.cells);
+
+  const RouteUpload upload =
+      round_trip(RouteUpload{7, route}, route_upload_from_json);
+  EXPECT_EQ(upload.seq, std::optional<std::uint64_t>(7));
+  EXPECT_FALSE(
+      round_trip(RouteUpload{std::nullopt, route}, route_upload_from_json).seq);
+
+  const RouteEvent event{9, 3, 4, TimeWindow{hours(8), hours(9)}, true};
+  const RouteEvent back = round_trip(event, route_event_from_json);
+  EXPECT_EQ(back.route_uid, 9u);
+  EXPECT_EQ(back.window, event.window);
+  EXPECT_TRUE(back.high_accuracy);
+}
+
+TEST(Codec, EncounterActivityAndVisitRoundTrip) {
+  const EncounterBatch batch{12, {{5, 7, hours(9), hours(10)}}};
+  const EncounterBatch decoded = round_trip(batch, encounter_batch_from_json);
+  EXPECT_EQ(decoded.first_index, std::optional<std::uint64_t>(12));
+  ASSERT_EQ(decoded.encounters.size(), 1u);
+  EXPECT_EQ(decoded.encounters[0].contact, 5u);
+  EXPECT_EQ(decoded.encounters[0].end, hours(10));
+
+  const ActivitySummary activity{hours(20), hours(3), hours(1)};
+  EXPECT_EQ(round_trip(activity, activity_from_json), activity);
+
+  const CellObservation obs{120, cell(7)};
+  const CellObservation obs_back =
+      round_trip(obs, cell_observation_from_json);
+  EXPECT_EQ(obs_back.t, 120);
+  EXPECT_EQ(obs_back.cell, obs.cell);
+}
+
+TEST(Codec, GcaResultRoundTripRebuildsCellIndex) {
+  algorithms::GcaResult result;
+  result.places.push_back({CellSignature{{cell(1), cell(2)}}, hours(3)});
+  result.places.push_back({CellSignature{{cell(3)}}, hours(1)});
+  result.visits.push_back({1, TimeWindow{hours(1), hours(2)}});
+  const auto decoded = round_trip(result, gca_result_from_json);
+  ASSERT_EQ(decoded.places.size(), 2u);
+  EXPECT_EQ(decoded.places[0].total_dwell, hours(3));
+  EXPECT_EQ(decoded.cell_to_place.at(cell(3)), 1u);
+  ASSERT_EQ(decoded.visits.size(), 1u);
+  EXPECT_EQ(decoded.visits[0].place_index, 1u);
+
+  // A visit naming a place the response does not contain is malformed.
+  Json bad = to_json(result);
+  result.visits[0].place_index = 2;
+  EXPECT_THROW(gca_result_from_json(to_json(result)), JsonError);
+  // So is a discovered place without a cell signature.
+  Json places = Json::array();
+  Json wifi_place = Json::object();
+  wifi_place.set("signature", to_json(PlaceSignature(WifiSignature{{1}})));
+  wifi_place.set("total_dwell", 60);
+  places.push_back(std::move(wifi_place));
+  bad.set("places", places);
+  EXPECT_THROW(gca_result_from_json(bad), JsonError);
+}
+
+TEST(Codec, DiscoverRequestCarriesSuffixClaim) {
+  const std::vector<CellObservation> observations{{0, cell(1)}, {60, cell(2)}};
+  const DiscoverRequest full = discover_request_from_json(
+      discover_request_to_json(observations, std::nullopt));
+  EXPECT_EQ(full.observations.size(), 2u);
+  EXPECT_FALSE(full.prefix);
+
+  const Json suffix = discover_request_to_json(
+      std::span(observations).subspan(1), PrefixClaim{1, 0xabcdef0123456789});
+  EXPECT_EQ(suffix.at("prefix_digest").as_string(), "abcdef0123456789");
+  const DiscoverRequest decoded = discover_request_from_json(suffix);
+  ASSERT_TRUE(decoded.prefix);
+  EXPECT_EQ(decoded.prefix->len, 1u);
+  EXPECT_EQ(decoded.prefix->digest, 0xabcdef0123456789u);
+  EXPECT_EQ(decoded.observations.size(), 1u);
+}
+
+TEST(Codec, ResponseBodiesRoundTrip) {
+  const SessionGrant grant =
+      round_trip(SessionGrant{4, "tok", hours(24), 2}, session_grant_from_json);
+  EXPECT_EQ(grant.user, 4u);
+  EXPECT_EQ(grant.token, "tok");
+  EXPECT_EQ(grant.session, std::optional<std::uint64_t>(2));
+  EXPECT_FALSE(round_trip(SessionGrant{4, "tok", hours(24), std::nullopt},
+                          session_grant_from_json)
+                   .session);
+
+  const PlaceEcho echo =
+      round_trip(PlaceEcho{7, geo::LatLng{28.6, 77.2}}, place_echo_from_json);
+  EXPECT_EQ(echo.uid, 7u);
+  ASSERT_TRUE(echo.location);
+  EXPECT_NEAR(echo.location->lng, 77.2, 1e-9);
+
+  EXPECT_EQ(hex64_from_json(Json(hex64(0x0123456789abcdef))),
+            0x0123456789abcdefu);
+}
+
+// Decoders are total: every malformed shape is a JsonError, never a
+// default value or another exception type.
+TEST(Codec, MalformedRecordsThrowJsonError) {
+  const Json route = to_json(sample_route());
+  const auto without = [](Json j, const char* key) {
+    Json out = Json::object();
+    for (const auto& [k, v] : j.as_object())
+      if (k != key) out.set(k, v);
+    return out;
+  };
+  const auto with = [](Json j, const char* key, Json value) {
+    j.set(key, std::move(value));
+    return j;
+  };
+  EXPECT_THROW(route_observation_from_json(without(route, "from")), JsonError);
+  EXPECT_THROW(route_observation_from_json(with(route, "to", Json("x"))),
+               JsonError);
+  EXPECT_THROW(route_observation_from_json(with(route, "from", Json(-1))),
+               JsonError);
+  // Inverted window.
+  EXPECT_THROW(route_observation_from_json(with(route, "start", hours(10))),
+               JsonError);
+  EXPECT_THROW(route_upload_from_json(with(route, "seq", Json(-5))), JsonError);
+  EXPECT_THROW(encounter_batch_from_json(Json::parse(R"({"encounters":
+                   [{"contact": "x", "place": 1, "start": 0, "end": 1}]})")),
+               JsonError);
+  EXPECT_THROW(cell_from_json(with(to_json(cell(1)), "radio", Json("5g"))),
+               JsonError);
+  EXPECT_THROW(cell_from_json(with(to_json(cell(1)), "mcc", Json(70000))),
+               JsonError);
+  EXPECT_THROW(hex64_from_json(Json("zz")), JsonError);
+  EXPECT_THROW(hex64_from_json(Json("")), JsonError);
+  EXPECT_THROW(hex64_from_json(Json("0123456789abcdef0")), JsonError);
+  EXPECT_THROW(discover_request_from_json(Json("x")), JsonError);
+  EXPECT_THROW(session_grant_from_json(Json::object()), JsonError);
+  EXPECT_THROW(place_echo_from_json(Json::array()), JsonError);
 }
 
 class SignatureKindSweep

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
+#include "cache/digest.hpp"
 #include "cloud/cloud_instance.hpp"
+#include "core/codec.hpp"
 #include "core/outbox.hpp"
 #include "mobility/participant.hpp"
 #include "mobility/schedule.hpp"
@@ -128,6 +131,40 @@ TEST(Lifecycle, RestoreDetectsTornCheckpoint) {
   auto pms3 = h.boot(29);
   std::istringstream garbage("hello world\nnot a checkpoint\n");
   EXPECT_FALSE(pms3->restore(garbage));
+}
+
+// Day profiles are derived from the logs, so save() no longer writes them.
+// Checkpoints from before that change still carry a "profiles" section;
+// restore() skips it like any section it does not know.
+TEST(Lifecycle, CheckpointWithProfilesSectionRestores) {
+  LifecycleHarness h(1);
+  auto pms1 = h.boot();
+  ASSERT_TRUE(pms1->register_with_cloud(0));
+  pms1->run(TimeWindow{0, days(1)});
+  const std::string checkpoint = checkpoint_of(*pms1);
+  EXPECT_EQ(checkpoint.find(R"("section":"profiles")"), std::string::npos);
+  const MobilityProfile profile = pms1->profile_for(0);
+  ASSERT_FALSE(profile.empty());
+
+  // Re-frame the body with a profiles section appended, under a manifest
+  // whose line count and digest cover it.
+  const std::size_t head_end = checkpoint.find('\n');
+  std::string body = checkpoint.substr(head_end + 1);
+  Json header = Json::object();
+  header.set("section", "profiles");
+  header.set("lines", 1);
+  body += header.dump() + "\n" + to_json(profile).dump() + "\n";
+  Json manifest = Json::parse(checkpoint.substr(0, head_end));
+  manifest.set("lines", static_cast<std::int64_t>(
+                            std::count(body.begin(), body.end(), '\n')));
+  manifest.set("digest", hex64(cache::fnv1a(body)));
+
+  auto pms2 = h.boot(19);
+  std::istringstream in(manifest.dump() + "\n" + body);
+  ASSERT_TRUE(pms2->restore(in));
+  ASSERT_EQ(pms2->inference().visit_log().size(),
+            pms1->inference().visit_log().size());
+  EXPECT_EQ(pms2->profile_for(0).places.size(), profile.places.size());
 }
 
 TEST(Lifecycle, AnySingleByteCorruptionIsDetected) {

@@ -19,8 +19,8 @@ TEST(Persistence, GsmLogRoundTrip) {
   std::vector<CellObservation> log;
   for (int i = 0; i < 50; ++i) log.push_back({i * 60, cell(100 + i % 3)});
   std::stringstream stream;
-  write_gsm_log(stream, log);
-  const auto loaded = read_gsm_log(stream);
+  write_jsonl(stream, log);
+  const auto loaded = read_jsonl(stream, cell_observation_from_json);
   ASSERT_EQ(loaded.size(), log.size());
   for (std::size_t i = 0; i < log.size(); ++i) {
     EXPECT_EQ(loaded[i].t, log[i].t);
@@ -31,7 +31,7 @@ TEST(Persistence, GsmLogRoundTrip) {
 TEST(Persistence, GsmLogIsOneJsonPerLine) {
   std::vector<CellObservation> log{{0, cell(1)}, {60, cell(2)}};
   std::stringstream stream;
-  write_gsm_log(stream, log);
+  write_jsonl(stream, log);
   std::string line;
   int lines = 0;
   while (std::getline(stream, line)) {
@@ -45,8 +45,8 @@ TEST(Persistence, VisitLogRoundTrip) {
   std::vector<LoggedVisit> log{{1, TimeWindow{0, hours(8)}},
                                {2, TimeWindow{hours(9), hours(17)}}};
   std::stringstream stream;
-  write_visit_log(stream, log);
-  const auto loaded = read_visit_log(stream);
+  write_jsonl(stream, log);
+  const auto loaded = read_jsonl(stream, logged_visit_from_json);
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0].uid, 1u);
   EXPECT_EQ(loaded[1].window, (TimeWindow{hours(9), hours(17)}));
@@ -65,7 +65,7 @@ TEST(Persistence, PlaceRecordsRoundTrip) {
 
   std::stringstream stream;
   write_place_records(stream, store);
-  const auto loaded = read_place_records(stream);
+  const auto loaded = read_jsonl(stream, place_record_from_json);
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0].uid, uid1);
   EXPECT_EQ(loaded[0].label, "home");
@@ -84,8 +84,8 @@ TEST(Persistence, ProfilesRoundTrip) {
   profiles[1].day = 1;
   profiles[1].routes = {{3, hours(8), hours(9)}};
   std::stringstream stream;
-  write_profiles(stream, profiles);
-  const auto loaded = read_profiles(stream);
+  write_jsonl(stream, profiles);
+  const auto loaded = read_jsonl(stream, profile_from_json);
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0].places.size(), 1u);
   EXPECT_EQ(loaded[1].routes.size(), 1u);
@@ -94,18 +94,18 @@ TEST(Persistence, ProfilesRoundTrip) {
 
 TEST(Persistence, EmptyStreamsYieldEmptyVectors) {
   std::stringstream empty;
-  EXPECT_TRUE(read_gsm_log(empty).empty());
+  EXPECT_TRUE(read_jsonl(empty, cell_observation_from_json).empty());
   std::stringstream empty2;
-  EXPECT_TRUE(read_visit_log(empty2).empty());
+  EXPECT_TRUE(read_jsonl(empty2, logged_visit_from_json).empty());
   std::stringstream empty3;
-  EXPECT_TRUE(read_profiles(empty3).empty());
+  EXPECT_TRUE(read_jsonl(empty3, profile_from_json).empty());
 }
 
 TEST(Persistence, BlankLinesAreSkipped) {
   std::stringstream stream;
   stream << "\n" << R"({"t": 60, "cell": {"mcc":404,"mnc":10,"lac":1,"cid":9,"radio":"2g"}})"
          << "\n\n";
-  const auto log = read_gsm_log(stream);
+  const auto log = read_jsonl(stream, cell_observation_from_json);
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0].cell.cid, 9u);
 }
@@ -116,7 +116,7 @@ TEST(Persistence, MalformedLineReportsLineNumber) {
          << "\n"
          << "{not json}\n";
   try {
-    read_gsm_log(stream);
+    read_jsonl(stream, cell_observation_from_json);
     FAIL() << "expected PersistenceError";
   } catch (const PersistenceError& error) {
     EXPECT_EQ(error.line(), 2u);
@@ -126,7 +126,8 @@ TEST(Persistence, MalformedLineReportsLineNumber) {
 TEST(Persistence, MissingFieldReportsLineNumber) {
   std::stringstream stream;
   stream << R"({"t": 0})" << "\n";
-  EXPECT_THROW(read_gsm_log(stream), PersistenceError);
+  EXPECT_THROW(read_jsonl(stream, cell_observation_from_json),
+               PersistenceError);
 }
 
 TEST(Persistence, AppendedLogsConcatenate) {
@@ -134,9 +135,9 @@ TEST(Persistence, AppendedLogsConcatenate) {
   std::stringstream stream;
   std::vector<CellObservation> first{{0, cell(1)}};
   std::vector<CellObservation> second{{60, cell(2)}};
-  write_gsm_log(stream, first);
-  write_gsm_log(stream, second);
-  EXPECT_EQ(read_gsm_log(stream).size(), 2u);
+  write_jsonl(stream, first);
+  write_jsonl(stream, second);
+  EXPECT_EQ(read_jsonl(stream, cell_observation_from_json).size(), 2u);
 }
 
 // --- Corruption fuzzing over all four JSONL products. The contract under
@@ -158,9 +159,10 @@ std::vector<FuzzProduct> fuzz_products() {
     std::vector<CellObservation> log;
     for (int i = 0; i < 12; ++i) log.push_back({i * 60, cell(100 + i % 3)});
     std::stringstream s;
-    write_gsm_log(s, log);
+    write_jsonl(s, log);
     products.push_back({"gsm_log", s.str(), [](std::istream& in) {
-                          return read_gsm_log(in).size();
+                          return read_jsonl(in, cell_observation_from_json)
+                              .size();
                         }});
   }
   {
@@ -169,9 +171,9 @@ std::vector<FuzzProduct> fuzz_products() {
       log.push_back({static_cast<PlaceUid>(i + 1),
                      TimeWindow{hours(i), hours(i + 1)}});
     std::stringstream s;
-    write_visit_log(s, log);
+    write_jsonl(s, log);
     products.push_back({"visit_log", s.str(), [](std::istream& in) {
-                          return read_visit_log(in).size();
+                          return read_jsonl(in, logged_visit_from_json).size();
                         }});
   }
   {
@@ -186,7 +188,7 @@ std::vector<FuzzProduct> fuzz_products() {
     std::stringstream s;
     write_place_records(s, store);
     products.push_back({"place_records", s.str(), [](std::istream& in) {
-                          return read_place_records(in).size();
+                          return read_jsonl(in, place_record_from_json).size();
                         }});
   }
   {
@@ -197,9 +199,9 @@ std::vector<FuzzProduct> fuzz_products() {
       profiles[d].places = {{5, hours(9), hours(17)}};
     }
     std::stringstream s;
-    write_profiles(s, profiles);
+    write_jsonl(s, profiles);
     products.push_back({"profiles", s.str(), [](std::istream& in) {
-                          return read_profiles(in).size();
+                          return read_jsonl(in, profile_from_json).size();
                         }});
   }
   return products;

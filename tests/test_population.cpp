@@ -246,8 +246,9 @@ TEST(Population, RetiredGsmLogRoundTripsWithIdenticalDigest) {
   const std::uint64_t digest = core::movement_digest(original);
 
   std::stringstream io;
-  core::write_gsm_log(io, original);
-  const auto rehydrated = core::read_gsm_log(io);
+  core::write_jsonl(io, original);
+  const auto rehydrated =
+      core::read_jsonl(io, core::cell_observation_from_json);
 
   ASSERT_EQ(rehydrated.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
@@ -260,8 +261,9 @@ TEST(Population, RetiredGsmLogRoundTripsWithIdenticalDigest) {
 TEST(Population, RehydratedLogReclustersIdentically) {
   const auto original = synthetic_gsm_log();
   std::stringstream io;
-  core::write_gsm_log(io, original);
-  const auto rehydrated = core::read_gsm_log(io);
+  core::write_jsonl(io, original);
+  const auto rehydrated =
+      core::read_jsonl(io, core::cell_observation_from_json);
 
   algorithms::GcaState warm;
   algorithms::GcaState cold;
@@ -285,8 +287,8 @@ TEST(Population, ArenaBackedVisitLogRoundTrips) {
   log.push_back({7, TimeWindow{hours(2), hours(5)}});
 
   std::stringstream io;
-  core::write_visit_log(io, log);
-  const auto back = core::read_visit_log(io);
+  core::write_jsonl(io, log);
+  const auto back = core::read_jsonl(io, core::logged_visit_from_json);
   ASSERT_EQ(back.size(), log.size());
   for (std::size_t i = 0; i < log.size(); ++i) {
     EXPECT_EQ(back[i].uid, log[i].uid);

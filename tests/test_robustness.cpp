@@ -2,14 +2,17 @@
 // gracefully, not collapse, as the environment gets hostile.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "algorithms/evaluate.hpp"
 #include "cloud/cloud_instance.hpp"
+#include "core/codec.hpp"
 #include "core/pms.hpp"
 #include "mobility/participant.hpp"
 #include "mobility/schedule.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace pmware {
 namespace {
@@ -218,6 +221,348 @@ TEST(Robustness, VisitLogNeverOverlapsUnderStress) {
   for (std::size_t i = 1; i < log.size(); ++i)
     EXPECT_LE(log[i - 1].window.end, log[i].window.begin + 1);
   for (const auto& v : log) EXPECT_GE(v.window.length(), minutes(10));
+}
+
+
+// --- Total decoding on both ends of the wire: every handler decodes its
+// whole body before it touches storage (a malformed body is a 4xx that
+// changes nothing), and the PMS treats an undecodable 2xx as a failed
+// exchange instead of throwing out of run().
+
+/// A cloud holding one registered user (id 1). Seeded through its own API
+/// with a place (uid 7), a profile for day 0, a route, an encounter and a
+/// retained GSM stream, so every route has state to read or to damage.
+struct SeededCloud {
+  explicit SeededCloud(bool with_data = true) {
+    net::HttpRequest reg = request(net::Method::Post, "/api/register");
+    reg.body = Json::object();
+    reg.body.set("imei", "358240051111110");
+    reg.body.set("email", "decode@study.pmware.org");
+    token = cloud.router().handle(reg).body.at("token").as_string();
+    if (!with_data) return;
+
+    const world::CellId cell{404, 10, 101, 1000, world::Radio::Gsm2G};
+    core::PlaceRecord record;
+    record.uid = 7;
+    record.signature = algorithms::CellSignature{{cell}};
+    EXPECT_EQ(send(net::Method::Put, "/api/users/1/places/7",
+                   core::to_json(record)).status,
+              net::kStatusCreated);
+    core::MobilityProfile profile;
+    profile.user = 1;
+    profile.places = {{7, hours(9), hours(17)}};
+    profile.activity = {hours(20), hours(3), hours(1)};
+    EXPECT_EQ(send(net::Method::Put, "/api/users/1/profiles/0",
+                   core::to_json(profile)).status,
+              net::kStatusCreated);
+    algorithms::RouteObservation route;
+    route.from_place = 7;
+    route.to_place = 8;
+    route.window = TimeWindow{hours(17), hours(18)};
+    route.cells = {{hours(17)}, {cell}};
+    EXPECT_EQ(send(net::Method::Post, "/api/users/1/routes",
+                   core::to_json(core::RouteUpload{0, route})).status,
+              net::kStatusCreated);
+    EXPECT_EQ(send(net::Method::Post, "/api/users/1/contacts",
+                   core::to_json(core::EncounterBatch{
+                       0, {{5, 7, hours(10), hours(11)}}})).status,
+              net::kStatusCreated);
+    std::vector<algorithms::CellObservation> observations;
+    for (int m = 0; m < 90; ++m) observations.push_back({minutes(m), cell});
+    EXPECT_EQ(send(net::Method::Post, "/api/places/discover",
+                   core::discover_request_to_json(observations, std::nullopt))
+                  .status,
+              net::kStatusOk);
+  }
+
+  net::HttpRequest request(net::Method method, std::string path) const {
+    net::HttpRequest req;
+    req.method = method;
+    req.path = std::move(path);
+    req.headers[net::kSimTimeHeader] = std::to_string(days(1));
+    if (!token.empty()) req.headers["Authorization"] = "Bearer " + token;
+    return req;
+  }
+
+  net::HttpResponse send(net::Method method, std::string path, Json body) {
+    net::HttpRequest req = request(method, std::move(path));
+    req.body = std::move(body);
+    return cloud.router().handle(req);
+  }
+
+  std::uint64_t digest() const { return cloud.storage().content_digest(); }
+
+  cloud::CloudInstance cloud{cloud::CloudConfig{},
+                             cloud::GeoLocationService({}), Rng(1)};
+  std::string token;
+};
+
+/// Nine bodies no handler may accept: wrong JSON types, an empty object,
+/// wrong-typed fields, a bad array element, out-of-range and inverted
+/// values, and a bad suffix claim / negative replay marks.
+std::vector<Json> malformed_bodies() {
+  std::vector<Json> bodies = {Json("x"), Json(), Json::array(), Json::object(),
+                              Json(42)};
+  const char* keys[] = {
+      "imei",        "email",      "observations", "uid",    "signature",
+      "label",       "granularity", "visit_count", "total_dwell", "user",
+      "day",         "places",     "routes",       "encounters", "from",
+      "to",          "start",      "end",          "cells",  "gps",
+      "seq",         "first_index", "prefix_len",  "prefix_digest"};
+  Json wrong_types = Json::object();
+  for (const char* key : keys) wrong_types.set(key, Json::array());
+  wrong_types.set("label", 7);
+  bodies.push_back(std::move(wrong_types));
+
+  const auto cell = [](std::int64_t mcc) {
+    return Json::parse(R"({"mcc":)" + std::to_string(mcc) +
+                       R"(,"mnc":10,"lac":1,"cid":9,"radio":"2g"})");
+  };
+  // A bad element inside an otherwise well-formed array.
+  Json bad_element = Json::parse(R"({
+    "observations": [{"t": 0}], "uid": 7, "label": ["x"],
+    "signature": {"kind": "cells", "cells": [1]}, "granularity": "building",
+    "visit_count": 1, "total_dwell": 1, "user": 1, "day": 0,
+    "places": [1], "routes": [], "encounters": [{"contact": "x"}],
+    "from": 1, "to": 2, "start": 0, "end": 60, "cells": [{"t": "x"}]})");
+  bodies.push_back(std::move(bad_element));
+  // Out-of-range integers and inverted windows.
+  Json out_of_range = Json::parse(R"({
+    "uid": 7, "label": null, "signature": {"kind": "wifi", "aps": [-1]},
+    "granularity": "building", "visit_count": -1, "total_dwell": 0,
+    "user": 1, "day": 0, "routes": [],
+    "places": [{"place": 7, "arrival": 100, "departure": 50}],
+    "encounters": [{"contact": 5, "place": 7, "start": 100, "end": 50}],
+    "from": -1, "to": 2, "start": 100, "end": 50})");
+  Json observation = Json::object();
+  observation.set("t", 0);
+  observation.set("cell", cell(70000));
+  out_of_range.set("observations", Json(Json::Array{observation}));
+  bodies.push_back(std::move(out_of_range));
+  // A suffix claim with a non-hex digest, negative replay marks, unknown
+  // enum names.
+  bodies.push_back(Json::parse(R"({
+    "observations": [], "prefix_len": 0, "prefix_digest": "zz",
+    "uid": 7, "label": false, "signature": {"kind": "sonar"},
+    "granularity": "planet", "visit_count": 0, "total_dwell": 0,
+    "user": 1, "day": 0, "places": [], "encounters": [],
+    "routes": [{"route": 1, "start": "x", "end": 0}],
+    "first_index": -1, "seq": -5, "from": 1, "to": 2, "start": 0,
+    "end": 60})"));
+  return bodies;
+}
+
+struct RouteProbe {
+  net::Method method;
+  const char* path;
+  bool decodes_body;  ///< the handler reads its request body
+};
+
+/// One concrete request per route of CloudInstance::register_routes().
+constexpr RouteProbe kRouteProbes[] = {
+    {net::Method::Get, "/metrics", false},
+    {net::Method::Get, "/timeseries", false},
+    {net::Method::Get, "/alertz", false},
+    {net::Method::Get, "/healthz", false},
+    {net::Method::Get, "/tracez", false},
+    {net::Method::Post, "/api/register", true},
+    {net::Method::Post, "/api/token/refresh", false},
+    {net::Method::Post, "/api/places/discover", true},
+    {net::Method::Get, "/api/users/1/places", false},
+    {net::Method::Put, "/api/users/1/places/7", true},
+    {net::Method::Post, "/api/users/1/places/7/label", true},
+    {net::Method::Put, "/api/users/1/profiles/0", true},
+    {net::Method::Get, "/api/users/1/profiles/0", false},
+    {net::Method::Post, "/api/users/1/routes", true},
+    {net::Method::Get, "/api/users/1/routes", false},
+    {net::Method::Post, "/api/users/1/contacts", true},
+    {net::Method::Get, "/api/users/1/contacts", false},
+    {net::Method::Delete, "/api/users/1", false},
+    {net::Method::Delete, "/api/users/1/places/7", false},
+    {net::Method::Get, "/api/users/1/analytics/activity/0", false},
+    {net::Method::Get, "/api/geo/cell/404/10/101/1000", false},
+    {net::Method::Get, "/api/users/1/analytics/arrival/7", false},
+    {net::Method::Get, "/api/users/1/analytics/next_visit/7", false},
+    {net::Method::Get, "/api/users/1/analytics/departure/7", false},
+    {net::Method::Get, "/api/users/1/analytics/next_place/7", false},
+    {net::Method::Get, "/api/users/1/analytics/frequency", false},
+};
+
+TEST(TotalDecoding, MalformedBodiesNeverThrowAndFourXxChangesNothing) {
+  ASSERT_EQ(std::size(kRouteProbes),
+            SeededCloud(false).cloud.router().route_count())
+      << "a route was added or removed: extend kRouteProbes";
+  const std::vector<Json> bodies = malformed_bodies();
+  ASSERT_EQ(bodies.size(), 9u);
+  for (const RouteProbe& probe : kRouteProbes) {
+    for (std::size_t b = 0; b < bodies.size(); ++b) {
+      SCOPED_TRACE(std::string(net::to_string(probe.method)) + " " +
+                   probe.path + " body " + bodies[b].dump());
+      SeededCloud seeded;
+      const std::uint64_t before = seeded.digest();
+      const net::HttpResponse res =
+          seeded.send(probe.method, probe.path, bodies[b]);
+      EXPECT_NE(res.status, net::kStatusInternalError);
+      EXPECT_NE(res.body.get_string("error", ""), "no route for " +
+                                                      std::string(probe.path));
+      if (probe.decodes_body) {
+        EXPECT_GE(res.status, 400);
+        EXPECT_LT(res.status, 500);
+      }
+      if (res.status >= 400 && res.status < 500) {
+        EXPECT_EQ(seeded.digest(), before);
+      }
+    }
+  }
+}
+
+TEST(TotalDecoding, MalformedContactsBatchAppliesNothingSoReplayStoresAll) {
+  SeededCloud seeded(/*with_data=*/false);
+  const core::EncounterEntry first{5, 7, hours(9), hours(10)};
+  const core::EncounterEntry second{6, 7, hours(11), hours(12)};
+  Json batch = Json::object();
+  batch.set("first_index", 0);
+  Json bad = Json::object();
+  bad.set("contact", "x");
+  batch.set("encounters", Json(Json::Array{core::to_json(first), bad}));
+  const std::uint64_t before = seeded.digest();
+  EXPECT_EQ(seeded.send(net::Method::Post, "/api/users/1/contacts", batch)
+                .status,
+            net::kStatusBadRequest);
+  EXPECT_EQ(seeded.digest(), before);
+
+  // The valid replay of the same range must not be trimmed by a high-water
+  // mark the rejected batch left behind.
+  EXPECT_EQ(seeded
+                .send(net::Method::Post, "/api/users/1/contacts",
+                      core::to_json(core::EncounterBatch{0, {first, second}}))
+                .status,
+            net::kStatusCreated);
+  EXPECT_EQ(seeded.cloud.storage().user(1).encounters.size(), 2u);
+}
+
+TEST(TotalDecoding, GarbageRouteBodyIsRejected) {
+  SeededCloud seeded(/*with_data=*/false);
+  const std::uint64_t before = seeded.digest();
+  EXPECT_EQ(
+      seeded.send(net::Method::Post, "/api/users/1/routes", Json("x")).status,
+      net::kStatusBadRequest);
+  EXPECT_EQ(seeded.digest(), before);
+  EXPECT_EQ(seeded.cloud.storage().user(1).routes.routes().size(), 0u);
+}
+
+/// A PMS wired to `server` (a stand-in cloud) over a lossless link.
+struct PmsRig {
+  explicit PmsRig(const net::Router& server) {
+    Rng rng(3);
+    Rng world_rng = rng.fork(1);
+    world = world::generate_world(world::WorldConfig{}, world_rng);
+    Rng prng = rng.fork(2);
+    auto participants = mobility::make_participants(*world, 1, prng);
+    Rng trng = rng.fork(3);
+    mobility::ScheduleConfig sc;
+    sc.days = 2;
+    trace.emplace(mobility::build_trace(*world, participants[0], sc, trng));
+    auto device = std::make_unique<sensing::Device>(
+        world, sensing::oracle_from_trace(*trace), sensing::DeviceConfig{},
+        rng.fork(5));
+    auto client = std::make_unique<net::RestClient>(
+        &server, net::NetworkConditions{0.0, 1}, rng.fork(6));
+    pms = std::make_unique<core::PmwareMobileService>(
+        std::move(device), core::PmsConfig{}, std::move(client), rng.fork(7));
+  }
+
+  std::shared_ptr<const world::World> world;
+  std::optional<mobility::Trace> trace;
+  std::unique_ptr<core::PmwareMobileService> pms;
+};
+
+/// Registers every device as user 1 with a token valid until `expires_at`.
+void add_register_route(net::Router& router, int* registrations,
+                        SimTime expires_at) {
+  router.add_route(net::Method::Post, "/api/register",
+                   [=](const net::HttpRequest&, const net::PathParams&) {
+                     ++*registrations;
+                     return net::HttpResponse::json(
+                         core::to_json(core::SessionGrant{
+                             1, "tok", expires_at, 1}),
+                         net::kStatusCreated);
+                   });
+}
+
+net::Handler answer(Json body, int status) {
+  return [body, status](const net::HttpRequest&, const net::PathParams&) {
+    return net::HttpResponse::json(body, status);
+  };
+}
+
+TEST(TotalDecoding, PmsTreatsUndecodableResponsesAsFailedExchanges) {
+  net::Router server;
+  int registrations = 0;
+  add_register_route(server, &registrations, days(30));
+  server.add_route(net::Method::Post, "/api/places/discover",
+                   answer(Json("x"), net::kStatusOk));
+  server.add_route(net::Method::Put, "/api/users/:id/places/:uid",
+                   answer(Json("x"), net::kStatusCreated));
+  for (const char* path : {"/api/users/:id/routes", "/api/users/:id/contacts"})
+    server.add_route(net::Method::Post, path,
+                     answer(Json::object(), net::kStatusCreated));
+  server.add_route(net::Method::Put, "/api/users/:id/profiles/:day",
+                   answer(Json::object(), net::kStatusCreated));
+
+  PmsRig rig(server);
+  auto& pms = rig.pms;
+  ASSERT_TRUE(pms->register_with_cloud(0));
+  EXPECT_NO_THROW({
+    pms->run(TimeWindow{0, days(2)});
+    pms->shutdown(days(2));
+  });
+
+  // Discover: every pass fell back to the local GCA.
+  EXPECT_EQ(pms->stats().gca_offloads, 0u);
+  EXPECT_GE(telemetry::registry().counter_value(
+                "pms_gca_local_total", {{"instance", pms->instance_label()}}),
+            2u);
+  // Place upsert: the undecodable echo is a failed delivery, still queued.
+  ASSERT_FALSE(pms->places().records().empty());
+  EXPECT_GE(telemetry::registry().counter_value(
+                "pms_sync_failures_total",
+                {{"instance", pms->instance_label()}, {"kind", "place"}}),
+            1u);
+  bool upsert_pending = false;
+  for (const auto& entry : pms->outbox().entries())
+    upsert_pending |= entry.kind == core::SyncKind::PlaceUpsert;
+  EXPECT_TRUE(upsert_pending);
+}
+
+TEST(TotalDecoding, UndecodableGrantIsAFailedRegistration) {
+  net::Router server;
+  server.add_route(net::Method::Post, "/api/register",
+                   answer(Json("x"), net::kStatusCreated));
+  PmsRig rig(server);
+  auto& pms = rig.pms;
+  EXPECT_FALSE(pms->register_with_cloud(0));
+  EXPECT_FALSE(pms->registered());
+  // Housekeeping keeps retrying the wanted registration; none may throw.
+  EXPECT_NO_THROW(pms->run(TimeWindow{0, days(2)}));
+  EXPECT_FALSE(pms->registered());
+}
+
+TEST(TotalDecoding, UndecodableRefreshFallsBackToRegistration) {
+  net::Router server;
+  int registrations = 0;
+  // The token runs out within the first day, so day 0's housekeeping
+  // refreshes it — and the refresh answer is undecodable.
+  add_register_route(server, &registrations, hours(12));
+  server.add_route(net::Method::Post, "/api/token/refresh",
+                   answer(Json("x"), net::kStatusOk));
+  PmsRig rig(server);
+  auto& pms = rig.pms;
+  ASSERT_TRUE(pms->register_with_cloud(0));
+  EXPECT_NO_THROW(pms->run(TimeWindow{0, days(1)}));
+  EXPECT_EQ(pms->stats().token_refreshes, 0u);
+  EXPECT_EQ(registrations, 2);
+  EXPECT_TRUE(pms->registered());
 }
 
 }  // namespace
