@@ -1,6 +1,7 @@
 #include "cloud/cloud_instance.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 
@@ -26,6 +27,25 @@ namespace {
 constexpr const char* kGcaCacheName = "cloud_gca";
 constexpr const char* kAnalyticsCacheName = "cloud_analytics";
 constexpr std::size_t kAnalyticsCacheCapacity = 1024;
+
+/// A path parameter or query value that must be a decimal number fitting in
+/// T. An empty string, a sign, any other non-digit and overflow are the
+/// client's error: JsonError, which the router answers with a 400.
+template <typename T>
+T decimal(const std::string& text, const char* name) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (text.starts_with('-') || ec != std::errc() || end != last)
+    throw JsonError(std::string("bad ") + name + ": '" + text + "'");
+  return value;
+}
+
+/// The ":name" path parameter, parsed by decimal().
+template <typename T>
+T param(const PathParams& params, const char* name) {
+  return decimal<T>(params.at(name), name);
+}
 
 /// The registration session the request claims to act under (0 if absent).
 std::uint64_t request_session(const HttpRequest& request) {
@@ -169,8 +189,7 @@ std::optional<HttpResponse> CloudInstance::require_user(
   if (!user)
     return HttpResponse::error(net::kStatusUnauthorized, "invalid token");
   const auto it = params.find("id");
-  if (it != params.end() &&
-      static_cast<world::DeviceId>(std::atoll(it->second.c_str())) != *user)
+  if (it != params.end() && decimal<world::DeviceId>(it->second, "id") != *user)
     return HttpResponse::error(net::kStatusUnauthorized,
                                "token does not match user");
   user_out = *user;
@@ -301,8 +320,8 @@ void CloudInstance::register_routes() {
       return HttpResponse::error(net::kStatusUnauthorized, "invalid token");
     std::size_t n = 5;
     if (const auto it = req.query.find("n"); it != req.query.end()) {
-      const long long parsed = std::atoll(it->second.c_str());
-      if (parsed > 0) n = static_cast<std::size_t>(parsed);
+      const auto parsed = decimal<std::size_t>(it->second, "n");
+      if (parsed > 0) n = parsed;
     }
     Json body = Json::object();
     body.set("slo_threshold_us", config_.slo_wall_us);
@@ -435,8 +454,7 @@ void CloudInstance::register_routes() {
     if (auto err = require_user(req, params, user)) return *err;
     if (auto err = require_writable(req, user)) return *err;
     core::PlaceRecord record = core::place_record_from_json(req.body);
-    record.uid = static_cast<core::PlaceUid>(
-        std::atoll(params.at("uid").c_str()));
+    record.uid = param<core::PlaceUid>(params, "uid");
     // Resolve an approximate position server-side when the client has none.
     if (!record.location)
       record.location = geoloc_.locate_signature(record.signature);
@@ -454,8 +472,7 @@ void CloudInstance::register_routes() {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
     if (auto err = require_writable(req, user)) return *err;
-    const auto uid = static_cast<core::PlaceUid>(
-        std::atoll(params.at("uid").c_str()));
+    const auto uid = param<core::PlaceUid>(params, "uid");
     std::string label = req.body.at("label").as_string();
     {
       const auto locked = storage_.locked_user(user);
@@ -476,7 +493,7 @@ void CloudInstance::register_routes() {
     if (auto err = require_user(req, params, user)) return *err;
     if (auto err = require_writable(req, user)) return *err;
     core::MobilityProfile profile = core::profile_from_json(req.body);
-    const std::int64_t day = std::atoll(params.at("day").c_str());
+    const auto day = param<std::int64_t>(params, "day");
     profile.day = day;
     profile.user = user;
     storage_.locked_user(user)->profiles[day] = std::move(profile);
@@ -488,7 +505,7 @@ void CloudInstance::register_routes() {
                     [this](const HttpRequest& req, const PathParams& params) {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
-    const std::int64_t day = std::atoll(params.at("day").c_str());
+    const auto day = param<std::int64_t>(params, "day");
     const auto locked = storage_.locked_user(user);
     const auto& profiles = locked->profiles;
     const auto it = profiles.find(day);
@@ -542,8 +559,8 @@ void CloudInstance::register_routes() {
     const auto to_it = req.query.find("to");
     if (from_it != req.query.end() && to_it != req.query.end()) {
       for (std::size_t uid : store.between(
-               static_cast<std::size_t>(std::atoll(from_it->second.c_str())),
-               static_cast<std::size_t>(std::atoll(to_it->second.c_str()))))
+               decimal<std::size_t>(from_it->second, "from"),
+               decimal<std::size_t>(to_it->second, "to")))
         emit(uid, store.routes()[uid]);
     } else {
       for (std::size_t uid = 0; uid < store.routes().size(); ++uid)
@@ -590,7 +607,7 @@ void CloudInstance::register_routes() {
     if (auto err = require_user(req, params, user)) return *err;
     std::optional<core::PlaceUid> place_filter;
     if (const auto it = req.query.find("place"); it != req.query.end())
-      place_filter = static_cast<core::PlaceUid>(std::atoll(it->second.c_str()));
+      place_filter = decimal<core::PlaceUid>(it->second, "place");
     core::EncounterBatch listing;
     const auto locked = storage_.locked_user(user);
     for (const auto& e : locked->encounters)
@@ -621,8 +638,7 @@ void CloudInstance::register_routes() {
     // Gated too: after a wipe + re-registration, place uids can be reused,
     // so a replayed delete from the wiped incarnation could hit new data.
     if (auto err = require_writable(req, user)) return *err;
-    const auto uid = static_cast<core::PlaceUid>(
-        std::atoll(params.at("uid").c_str()));
+    const auto uid = param<core::PlaceUid>(params, "uid");
     if (!storage_.erase_place(user, uid))
       return HttpResponse::error(net::kStatusNotFound, "unknown place");
     return HttpResponse::json(Json::object());
@@ -633,7 +649,7 @@ void CloudInstance::register_routes() {
                     [this](const HttpRequest& req, const PathParams& params) {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
-    const std::int64_t day = std::atoll(params.at("day").c_str());
+    const auto day = param<std::int64_t>(params, "day");
     return analytics_cached(req, user, /*time_sensitive=*/false, [&] {
       const auto locked = storage_.locked_user(user);
       const auto& profiles = locked->profiles;
@@ -650,10 +666,10 @@ void CloudInstance::register_routes() {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
     world::CellId cell;
-    cell.mcc = static_cast<std::uint16_t>(std::atoi(params.at("mcc").c_str()));
-    cell.mnc = static_cast<std::uint16_t>(std::atoi(params.at("mnc").c_str()));
-    cell.lac = static_cast<std::uint16_t>(std::atoi(params.at("lac").c_str()));
-    cell.cid = static_cast<std::uint32_t>(std::atoll(params.at("cid").c_str()));
+    cell.mcc = param<std::uint16_t>(params, "mcc");
+    cell.mnc = param<std::uint16_t>(params, "mnc");
+    cell.lac = param<std::uint16_t>(params, "lac");
+    cell.cid = param<std::uint32_t>(params, "cid");
     const auto radio_it = req.query.find("radio");
     cell.radio = (radio_it != req.query.end() && radio_it->second == "3g")
                      ? world::Radio::Umts3G
@@ -668,8 +684,7 @@ void CloudInstance::register_routes() {
                     [this](const HttpRequest& req, const PathParams& params) {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
-    const auto uid = static_cast<core::PlaceUid>(
-        std::atoll(params.at("uid").c_str()));
+    const auto uid = param<core::PlaceUid>(params, "uid");
     return analytics_cached(req, user, /*time_sensitive=*/false, [&] {
       const auto tod = analytics_.typical_arrival_tod(user, uid);
       if (!tod) return HttpResponse::error(net::kStatusNotFound, "no history");
@@ -683,8 +698,7 @@ void CloudInstance::register_routes() {
                     [this](const HttpRequest& req, const PathParams& params) {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
-    const auto uid = static_cast<core::PlaceUid>(
-        std::atoll(params.at("uid").c_str()));
+    const auto uid = param<core::PlaceUid>(params, "uid");
     // Time-sensitive: the prediction depends on the request's sim-time, so
     // the cache key carries it (same instant + unchanged shard = same
     // answer; a new instant is a new entry).
@@ -702,8 +716,7 @@ void CloudInstance::register_routes() {
                     [this](const HttpRequest& req, const PathParams& params) {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
-    const auto uid = static_cast<core::PlaceUid>(
-        std::atoll(params.at("uid").c_str()));
+    const auto uid = param<core::PlaceUid>(params, "uid");
     return analytics_cached(req, user, /*time_sensitive=*/false, [&] {
       const auto tod = analytics_.typical_departure_tod(user, uid);
       if (!tod) return HttpResponse::error(net::kStatusNotFound, "no history");
@@ -717,8 +730,7 @@ void CloudInstance::register_routes() {
                     [this](const HttpRequest& req, const PathParams& params) {
     world::DeviceId user = 0;
     if (auto err = require_user(req, params, user)) return *err;
-    const auto uid = static_cast<core::PlaceUid>(
-        std::atoll(params.at("uid").c_str()));
+    const auto uid = param<core::PlaceUid>(params, "uid");
     return analytics_cached(req, user, /*time_sensitive=*/false, [&] {
       const auto next = analytics_.predict_next_place(user, uid);
       if (!next) return HttpResponse::error(net::kStatusNotFound, "no history");

@@ -407,8 +407,36 @@ algorithms::GcaResult gca_result_from_json(const Json& j) {
 Json discover_request_to_json(
     std::span<const algorithms::CellObservation> observations,
     std::optional<PrefixClaim> prefix) {
+  Json::Array cells;
+  std::map<world::CellId, std::int64_t> dictionary;
+  Json::Array runs;
+  for (std::size_t i = 0; i < observations.size();) {
+    const algorithms::CellObservation& first = observations[i];
+    const auto same_cell = [&](std::size_t k) {
+      return k < observations.size() && observations[k].cell == first.cell;
+    };
+    // The gap to the next read of the same cell fixes the period; a repeat
+    // or a step back in time ends the run at one read.
+    SimTime period = 0;
+    std::size_t end = i + 1;
+    if (same_cell(end) && observations[end].t > first.t) {
+      period = observations[end].t - first.t;
+      while (same_cell(end) &&
+             observations[end].t - observations[end - 1].t == period)
+        ++end;
+    }
+    const auto [entry, added] = dictionary.try_emplace(
+        first.cell, static_cast<std::int64_t>(cells.size()));
+    if (added) cells.push_back(to_json(first.cell));
+    runs.push_back(first.t);
+    runs.push_back(period);
+    runs.push_back(static_cast<std::int64_t>(end - i));
+    runs.push_back(entry->second);
+    i = end;
+  }
   Json j = Json::object();
-  j.set("observations", array_of(observations, encode));
+  j.set("cells", Json(std::move(cells)));
+  j.set("runs", Json(std::move(runs)));
   if (prefix) {
     j.set("prefix_len", static_cast<std::int64_t>(prefix->len));
     j.set("prefix_digest", hex64(prefix->digest));
@@ -416,10 +444,62 @@ Json discover_request_to_json(
   return j;
 }
 
+namespace {
+
+/// One (t0, period, count, cell_index) tuple of a discover body's "runs".
+struct ObservationRun {
+  SimTime t0 = 0;
+  SimTime period = 0;
+  std::int64_t count = 0;
+  std::size_t cell = 0;
+};
+
+ObservationRun run_at(const Json::Array& runs, std::size_t at,
+                      std::size_t dictionary_size) {
+  const SimTime t0 = runs[at].as_int();
+  const SimTime period = runs[at + 1].as_int();
+  const std::int64_t count = runs[at + 2].as_int();
+  const std::int64_t cell = runs[at + 3].as_int();
+  if (count < 1) throw JsonError("run count below 1");
+  if (period < 0) throw JsonError("negative run period");
+  if (period == 0 && count > 1)
+    throw JsonError("run of several reads with period 0");
+  if (cell < 0 || static_cast<std::uint64_t>(cell) >= dictionary_size)
+    throw JsonError("run names a cell outside the dictionary");
+  SimTime span = 0;
+  SimTime last = 0;
+  if (__builtin_mul_overflow(period, count - 1, &span) ||
+      __builtin_add_overflow(t0, span, &last))
+    throw JsonError("run end time overflows");
+  return {t0, period, count, static_cast<std::size_t>(cell)};
+}
+
+}  // namespace
+
 DiscoverRequest discover_request_from_json(const Json& j) {
-  DiscoverRequest request{array_at<algorithms::CellObservation>(
-                              j, "observations", cell_observation_from_json),
-                          std::nullopt};
+  const std::vector<world::CellId> cells =
+      array_at<world::CellId>(j, "cells", cell_from_json);
+  const Json::Array& encoded = j.at("runs").as_array();
+  if (encoded.size() % 4 != 0)
+    throw JsonError("runs length is not a multiple of 4");
+  // Validate every run and bound the expanded total before any allocation
+  // that scales with a claimed count.
+  std::vector<ObservationRun> runs;
+  runs.reserve(encoded.size() / 4);
+  std::size_t total = 0;
+  for (std::size_t at = 0; at < encoded.size(); at += 4) {
+    runs.push_back(run_at(encoded, at, cells.size()));
+    const auto count = static_cast<std::uint64_t>(runs.back().count);
+    if (count > kMaxDiscoverObservations - total)
+      throw JsonError("discover body expands past kMaxDiscoverObservations");
+    total += static_cast<std::size_t>(count);
+  }
+  DiscoverRequest request;
+  request.observations.reserve(total);
+  for (const ObservationRun& run : runs)
+    for (std::int64_t k = 0; k < run.count; ++k)
+      request.observations.push_back(
+          {run.t0 + k * run.period, cells[run.cell]});
   if (j.contains("prefix_len"))
     request.prefix = PrefixClaim{uint_at<std::size_t>(j, "prefix_len"),
                                  hex64_from_json(j.at("prefix_digest"))};

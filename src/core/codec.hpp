@@ -37,7 +37,7 @@ geo::LatLng latlng_from_json(const Json& j);
 Json to_json(const algorithms::PlaceSignature& sig);
 algorithms::PlaceSignature signature_from_json(const Json& j);
 
-/// {t, cell}: one serving-cell observation (GCA input, route cells).
+/// {t, cell}: one serving-cell observation of a route.
 Json to_json(const algorithms::CellObservation& obs);
 algorithms::CellObservation cell_observation_from_json(const Json& j);
 
@@ -95,8 +95,19 @@ struct PrefixClaim {
   std::size_t len = 0;
   std::uint64_t digest = 0;
 };
-/// POST /api/places/discover: {observations}, plus {prefix_len,
-/// prefix_digest} for a suffix upload.
+/// Most observations one discover body may expand to. A year of one-minute
+/// GSM reads is ~525k; the decoder rejects a larger total before it
+/// allocates, so a hostile run count cannot reserve unbounded memory.
+inline constexpr std::size_t kMaxDiscoverObservations = std::size_t{1} << 22;
+
+/// POST /api/places/discover, run-length encoded:
+///   {"cells": [<cell>, ...], "runs": [t0, period, count, cell_index, ...]}
+/// plus {prefix_len, prefix_digest} for a suffix upload. "cells" is the
+/// request's cell dictionary in order of first use; each 4-tuple of "runs"
+/// is a maximal stretch of reads of one cell at a constant positive gap
+/// (a single read has period 0), so any time sequence round-trips exactly.
+/// The decoder expands the runs straight into `observations`; prefix_len
+/// counts expanded observations.
 struct DiscoverRequest {
   std::vector<algorithms::CellObservation> observations;
   std::optional<PrefixClaim> prefix;

@@ -414,9 +414,10 @@ void PmwareMobileService::enqueue(SyncKind kind, std::uint64_t key,
 
 void PmwareMobileService::drain_outbox(SimTime now) {
   outbox_.drain([&](const OutboxEntry& entry) {
-    switch (deliver(entry, now)) {
+    int status = 0;
+    switch (deliver(entry, now, status)) {
       case DeliverOutcome::Failed:
-        record_sync_failure(entry.kind, 0, now);
+        record_sync_failure(entry.kind, status, now);
         return false;
       case DeliverOutcome::Gone:
         // The cloud tombstoned this user (privacy wipe): replaying is
@@ -444,10 +445,12 @@ void PmwareMobileService::drain_outbox(SimTime now) {
 }
 
 PmwareMobileService::DeliverOutcome PmwareMobileService::deliver(
-    const OutboxEntry& entry, SimTime now) {
+    const OutboxEntry& entry, SimTime now, int& status) {
   // Shared verdict for plain success/failure responses; 410 Gone is the
-  // cloud's permanent "this user was wiped" refusal.
-  const auto verdict = [](const net::HttpResponse& response) {
+  // cloud's permanent "this user was wiped" refusal. Every response passes
+  // through here, so it also reports the status.
+  const auto verdict = [&status](const net::HttpResponse& response) {
+    status = response.status;
     if (response.ok()) return DeliverOutcome::Delivered;
     if (response.status == net::kStatusGone) return DeliverOutcome::Gone;
     return DeliverOutcome::Failed;
@@ -587,8 +590,13 @@ void PmwareMobileService::record_sync_failure(SyncKind kind, int status,
                {{"instance", instance_}, {"kind", kind_name(kind)}},
                "sync sends that failed (parked in the outbox for replay)")
       .inc();
-  telemetry::slog_warn("pms", now, "%s sync failed (status %d); outbox holds %zu",
-                       kind_name(kind), status, outbox_.size());
+  // A 2xx here is a response the codec could not decode.
+  telemetry::slog_warn("pms", now,
+                       "%s sync failed (status %d%s); outbox holds %zu",
+                       kind_name(kind), status,
+                       status >= 200 && status < 300 ? ", malformed response"
+                                                     : "",
+                       outbox_.size());
 }
 
 std::vector<std::pair<std::uint64_t, bool>> PmwareMobileService::day_digests(

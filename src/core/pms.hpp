@@ -202,8 +202,10 @@ class PmwareMobileService {
   /// permanently refuses writes from this incarnation — the user was wiped —
   /// so the entry is dropped instead of retried forever.
   enum class DeliverOutcome { Delivered, Failed, Gone };
-  /// Sends one outbox entry, serializing CURRENT local state.
-  DeliverOutcome deliver(const OutboxEntry& entry, SimTime now);
+  /// Sends one outbox entry, serializing CURRENT local state. `status`
+  /// receives the HTTP status of the response (left as is when nothing was
+  /// sent).
+  DeliverOutcome deliver(const OutboxEntry& entry, SimTime now, int& status);
   void record_sync_failure(SyncKind kind, int status, SimTime now);
   /// Per-day content digests for days [0, up_to], one pass over the logs;
   /// .second is false for days whose profile would be empty.

@@ -160,8 +160,9 @@ HttpResponse Router::handle(const HttpRequest& request) const {
     try {
       response = best->handler(request, best_params);
     } catch (const JsonError& e) {
-      // Handlers decode their whole body before they touch state, so an
-      // undecodable body is the client's error and changed nothing.
+      // Handlers decode their whole body and every path or query number
+      // before they touch state, so an undecodable request is the client's
+      // error and changed nothing.
       response = HttpResponse::error(kStatusBadRequest, e.what());
     } catch (const std::exception& e) {
       response = handler_threw(*best, sim_now, e.what());

@@ -67,10 +67,11 @@ class Router {
   ///    "/api/users/all" beats "/api/users/:id" regardless of registration
   ///    order.
   ///
-  /// A handler that throws JsonError (an undecodable body) gets a 400. Any
-  /// other exception gets a 500: the router counts it in
-  /// cloud_handler_exceptions_total{route}, logs a trace-correlated warning,
-  /// and still closes the handler span and reports to the observer.
+  /// A handler that throws JsonError (an undecodable body, path parameter
+  /// or query value) gets a 400. Any other exception gets a 500: the router
+  /// counts it in cloud_handler_exceptions_total{route}, logs a
+  /// trace-correlated warning, and still closes the handler span and reports
+  /// to the observer.
   ///
   /// handle() itself takes no lock and is safe to call concurrently: the
   /// route/middleware tables are immutable after single-threaded setup

@@ -403,18 +403,12 @@ TEST_F(ConditionalFixture, RepeatDiscoverIsServedFromCloudCache) {
     c.cid = cid;
     return c;
   };
-  Json observations = Json::array();
-  for (int m = 0; m < 180; ++m) {
-    Json o = Json::object();
-    o.set("t", static_cast<std::int64_t>(minutes(m)));
-    o.set("cell", core::to_json(cell(m % 2 == 0 ? 10 : 11)));
-    observations.push_back(std::move(o));
-  }
+  std::vector<algorithms::CellObservation> observations;
+  for (int m = 0; m < 180; ++m)
+    observations.push_back({minutes(m), cell(m % 2 == 0 ? 10 : 11)});
   auto discover = [&]() {
     HttpRequest req = request(Method::Post, "/api/places/discover");
-    req.body = Json::object();
-    Json copy = observations;
-    req.body.set("observations", std::move(copy));
+    req.body = core::discover_request_to_json(observations, std::nullopt);
     return client_->send(req);
   };
   const HttpResponse first = discover();
@@ -428,10 +422,7 @@ TEST_F(ConditionalFixture, RepeatDiscoverIsServedFromCloudCache) {
   EXPECT_EQ(outcome_count("cloud_gca", "cloud_hit"), 1u);
 
   // A longer (append-only) upload is a different graph: recompute.
-  Json o = Json::object();
-  o.set("t", static_cast<std::int64_t>(minutes(200)));
-  o.set("cell", core::to_json(cell(12)));
-  observations.push_back(std::move(o));
+  observations.push_back({minutes(200), cell(12)});
   ASSERT_EQ(discover().status, net::kStatusOk);
   EXPECT_EQ(outcome_count("cloud_gca", "recompute"), 1u);
 }
@@ -448,19 +439,13 @@ TEST_F(ConditionalFixture, CacheOffRecomputesEveryDiscover) {
     c.cid = cid;
     return c;
   };
-  Json observations = Json::array();
-  for (int m = 0; m < 120; ++m) {
-    Json o = Json::object();
-    o.set("t", static_cast<std::int64_t>(minutes(m)));
-    o.set("cell", core::to_json(cell(m % 2 == 0 ? 10 : 11)));
-    observations.push_back(std::move(o));
-  }
+  std::vector<algorithms::CellObservation> observations;
+  for (int m = 0; m < 120; ++m)
+    observations.push_back({minutes(m), cell(m % 2 == 0 ? 10 : 11)});
   std::string body;
   for (int round = 0; round < 3; ++round) {
     HttpRequest req = request(Method::Post, "/api/places/discover");
-    req.body = Json::object();
-    Json copy = observations;
-    req.body.set("observations", std::move(copy));
+    req.body = core::discover_request_to_json(observations, std::nullopt);
     const HttpResponse res = client_->send(req);
     ASSERT_EQ(res.status, net::kStatusOk);
     if (body.empty())

@@ -231,18 +231,13 @@ TEST_F(CloudFixture, ProfileSyncRoundTrip) {
 TEST_F(CloudFixture, GcaDiscoveryEndpoint) {
   register_device();
   HttpRequest discover = request(Method::Post, "/api/places/discover");
-  Json observations = Json::array();
+  std::vector<algorithms::CellObservation> observations;
   // Oscillate between two cells for 2 hours.
   for (int i = 0; i < 120; ++i) {
-    Json o = Json::object();
-    o.set("t", i * 60);
-    o.set("cell", core::to_json(world::CellId{
-                      404, 10, 1, static_cast<std::uint32_t>(100 + i % 2),
-                      world::Radio::Gsm2G}));
-    observations.push_back(std::move(o));
+    const auto cid = static_cast<std::uint32_t>(100 + i % 2);
+    observations.push_back({i * 60, {404, 10, 1, cid, world::Radio::Gsm2G}});
   }
-  discover.body = Json::object();
-  discover.body.set("observations", std::move(observations));
+  discover.body = core::discover_request_to_json(observations, std::nullopt);
   const HttpResponse res = cloud_.router().handle(discover);
   ASSERT_TRUE(res.ok());
   ASSERT_EQ(res.body.at("places").size(), 1u);

@@ -244,6 +244,70 @@ TEST(Codec, DiscoverRequestCarriesSuffixClaim) {
   EXPECT_EQ(decoded.observations.size(), 1u);
 }
 
+// Known answer: three reads of cell 1 a minute apart, one of cell 2, then
+// cell 1 again — two dictionary entries and three runs.
+TEST(Codec, DiscoverBodyIsRunLengthEncoded) {
+  const std::vector<CellObservation> observations{
+      {0, cell(1)}, {60, cell(1)}, {120, cell(1)}, {180, cell(2)},
+      {240, cell(1)}};
+  EXPECT_EQ(discover_request_to_json(observations, PrefixClaim{2, 0xff}).dump(),
+            R"({"cells":[{"cid":1,"lac":101,"mcc":404,"mnc":10,"radio":"2g"},)"
+            R"({"cid":2,"lac":101,"mcc":404,"mnc":10,"radio":"2g"}],)"
+            R"("prefix_digest":"00000000000000ff","prefix_len":2,)"
+            R"("runs":[0,60,3,0,180,0,1,1,240,0,1,0]})");
+}
+
+void expect_discover_round_trip(const std::vector<CellObservation>& stream) {
+  const Json body = discover_request_to_json(stream, std::nullopt);
+  const DiscoverRequest decoded =
+      discover_request_from_json(Json::parse(body.dump()));
+  ASSERT_EQ(decoded.observations.size(), stream.size());
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    EXPECT_EQ(decoded.observations[i].t, stream[i].t) << "read " << i;
+    EXPECT_EQ(decoded.observations[i].cell, stream[i].cell) << "read " << i;
+  }
+  EXPECT_EQ(movement_digest(decoded.observations), movement_digest(stream));
+}
+
+TEST(Codec, IrregularDiscoverStreamsRoundTrip) {
+  // Gaps other than the period: the run breaks, the next one starts.
+  expect_discover_round_trip({{0, cell(1)}, {60, cell(1)}, {120, cell(1)},
+                              {200, cell(1)}, {280, cell(1)}, {290, cell(1)}});
+  // Repeated t, and a step back in time: one-read runs.
+  expect_discover_round_trip({{0, cell(1)}, {0, cell(1)}, {0, cell(2)},
+                              {60, cell(2)}, {30, cell(2)}, {-90, cell(3)}});
+  // Oscillation: every run is one read long.
+  std::vector<CellObservation> oscillating;
+  for (int m = 0; m < 30; ++m) {
+    const auto radio = m % 3 == 0 ? world::Radio::Umts3G : world::Radio::Gsm2G;
+    oscillating.push_back({m * 60, cell(1 + m % 2, radio)});
+  }
+  expect_discover_round_trip(oscillating);
+  expect_discover_round_trip({});
+}
+
+TEST(Codec, ReturningCellReusesItsDictionaryEntry) {
+  const std::vector<CellObservation> stream{
+      {0, cell(1)}, {60, cell(1)}, {120, cell(2)}, {180, cell(3)},
+      {240, cell(1)}, {300, cell(1)}, {360, cell(1)}};
+  const Json body = discover_request_to_json(stream, std::nullopt);
+  EXPECT_EQ(body.at("cells").size(), 3u);
+  EXPECT_EQ(body.at("runs").size(), 4u * 4u);
+  EXPECT_EQ(body.at("runs")[15].as_int(), 0);  // the last run names cell 1
+  expect_discover_round_trip(stream);
+}
+
+TEST(Codec, EmptySuffixKeepsItsPrefixClaim) {
+  const Json body = discover_request_to_json({}, PrefixClaim{1440, 7});
+  EXPECT_EQ(body.at("cells").size(), 0u);
+  EXPECT_EQ(body.at("runs").size(), 0u);
+  const DiscoverRequest decoded = discover_request_from_json(body);
+  EXPECT_TRUE(decoded.observations.empty());
+  ASSERT_TRUE(decoded.prefix);
+  EXPECT_EQ(decoded.prefix->len, 1440u);
+  EXPECT_EQ(decoded.prefix->digest, 7u);
+}
+
 TEST(Codec, ResponseBodiesRoundTrip) {
   const SessionGrant grant =
       round_trip(SessionGrant{4, "tok", hours(24), 2}, session_grant_from_json);

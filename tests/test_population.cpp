@@ -112,6 +112,21 @@ TEST(Population, GoldenStudyReproducesKnownAnswer) {
   EXPECT_EQ(run.total_dislikes(), 7u);
 }
 
+// Wire budget: the GCA offload ships one cell dictionary plus
+// (t0, period, count, cell) runs, so a participant-day uploads a few KiB.
+// One JSON object per GSM read came to ~106 KiB per participant-day.
+TEST(Population, UploadPerParticipantDayStaysUnder16KiB) {
+  const StudyConfig config = small_config();
+  auto& reg = telemetry::registry();
+  const std::uint64_t before = reg.family_total("net_bytes_sent_total");
+  DeploymentStudy(config).run();
+  const double sent =
+      static_cast<double>(reg.family_total("net_bytes_sent_total") - before);
+  const double per_pd = sent / (config.participants * config.days);
+  EXPECT_GT(per_pd, 0.0);
+  EXPECT_LT(per_pd, 16.0 * 1024) << "bytes sent per participant-day";
+}
+
 // Workers and waves never change results: a parallel run (which constructs,
 // runs, syncs, and retires each participant inside a wave) and a
 // one-participant-per-wave run are byte-identical to the sequential

@@ -12,6 +12,7 @@
 #include "core/pms.hpp"
 #include "mobility/participant.hpp"
 #include "mobility/schedule.hpp"
+#include "telemetry/log.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace pmware {
@@ -304,7 +305,7 @@ std::vector<Json> malformed_bodies() {
   std::vector<Json> bodies = {Json("x"), Json(), Json::array(), Json::object(),
                               Json(42)};
   const char* keys[] = {
-      "imei",        "email",      "observations", "uid",    "signature",
+      "imei",        "email",      "runs",       "uid",    "signature",
       "label",       "granularity", "visit_count", "total_dwell", "user",
       "day",         "places",     "routes",       "encounters", "from",
       "to",          "start",      "end",          "cells",  "gps",
@@ -320,7 +321,7 @@ std::vector<Json> malformed_bodies() {
   };
   // A bad element inside an otherwise well-formed array.
   Json bad_element = Json::parse(R"({
-    "observations": [{"t": 0}], "uid": 7, "label": ["x"],
+    "runs": [0, 0, "x", 0], "uid": 7, "label": ["x"],
     "signature": {"kind": "cells", "cells": [1]}, "granularity": "building",
     "visit_count": 1, "total_dwell": 1, "user": 1, "day": 0,
     "places": [1], "routes": [], "encounters": [{"contact": "x"}],
@@ -334,15 +335,13 @@ std::vector<Json> malformed_bodies() {
     "places": [{"place": 7, "arrival": 100, "departure": 50}],
     "encounters": [{"contact": 5, "place": 7, "start": 100, "end": 50}],
     "from": -1, "to": 2, "start": 100, "end": 50})");
-  Json observation = Json::object();
-  observation.set("t", 0);
-  observation.set("cell", cell(70000));
-  out_of_range.set("observations", Json(Json::Array{observation}));
+  out_of_range.set("cells", Json(Json::Array{cell(70000)}));
+  out_of_range.set("runs", Json(Json::Array{0, 0, 1, 0}));
   bodies.push_back(std::move(out_of_range));
   // A suffix claim with a non-hex digest, negative replay marks, unknown
   // enum names.
   bodies.push_back(Json::parse(R"({
-    "observations": [], "prefix_len": 0, "prefix_digest": "zz",
+    "cells": [], "runs": [], "prefix_len": 0, "prefix_digest": "zz",
     "uid": 7, "label": false, "signature": {"kind": "sonar"},
     "granularity": "planet", "visit_count": 0, "total_dwell": 0,
     "user": 1, "day": 0, "places": [], "encounters": [],
@@ -412,6 +411,135 @@ TEST(TotalDecoding, MalformedBodiesNeverThrowAndFourXxChangesNothing) {
       if (res.status >= 400 && res.status < 500) {
         EXPECT_EQ(seeded.digest(), before);
       }
+    }
+  }
+}
+
+/// Discover bodies that each break one rule of the run-length encoding
+/// (t0, period, count, cell_index). The cell dictionary holds one cell.
+std::vector<Json> malformed_run_bodies() {
+  const auto body = [](Json::Array runs, const char* radio = "2g") {
+    Json cell = core::to_json(
+        world::CellId{404, 10, 101, 1000, world::Radio::Gsm2G});
+    cell.set("radio", radio);
+    Json j = Json::object();
+    j.set("cells", Json(Json::Array{std::move(cell)}));
+    j.set("runs", Json(std::move(runs)));
+    return j;
+  };
+  const std::int64_t cap =
+      static_cast<std::int64_t>(core::kMaxDiscoverObservations);
+  const std::int64_t two62 = std::int64_t{1} << 62;
+  return {
+      body({0, 60, 2}),                // length not a multiple of 4
+      body({0, 60, 2, 0, 120}),
+      body({0, 60, 0, 0}),             // count < 1
+      body({0, 60, -3, 0}),
+      body({0, -60, 2, 0}),            // negative period
+      body({0, 0, 2, 0}),              // period 0 with several reads
+      body({0, 60, 2, 1}),             // cell index outside the dictionary
+      body({0, 60, 2, -1}),
+      body({0, two62, 3, 0}),          // period * (count - 1) overflows
+      body({two62, two62 / 2, 3, 0}),  // t0 + period * (count - 1) overflows
+      // Counts past the expansion cap: one run, and two runs together.
+      // Were the cap checked after the reserve, these would ask for up to
+      // 2^62 observations (a fatal allocation under the sanitizers).
+      body({0, 1, cap + 1, 0}),
+      body({0, 1, two62, 0}),
+      body({0, 1, cap / 2, 0, 0, 1, cap / 2 + 1, 0}),
+      body({0, 0, 1, 0}, "5g"),        // bad radio in the dictionary
+  };
+}
+
+TEST(TotalDecoding, MalformedRunBodiesGetFourXxAndChangeNothing) {
+  for (const Json& body : malformed_run_bodies()) {
+    SCOPED_TRACE(body.dump());
+    SeededCloud seeded;
+    const std::uint64_t before = seeded.digest();
+    const net::HttpResponse res =
+        seeded.send(net::Method::Post, "/api/places/discover", body);
+    EXPECT_EQ(res.status, net::kStatusBadRequest);
+    EXPECT_EQ(seeded.digest(), before);
+  }
+}
+
+/// One route with a numeric path parameter or query value; "%" marks the
+/// value under test. `body` is valid, so only the tested value is bad.
+struct ValueProbe {
+  net::Method method;
+  std::string path;
+  std::string query_key;  ///< empty: "%" sits in the path
+  Json body;
+};
+
+std::vector<ValueProbe> value_probes() {
+  const world::CellId cell{404, 10, 101, 1000, world::Radio::Gsm2G};
+  core::PlaceRecord record;
+  record.uid = 7;
+  record.signature = algorithms::CellSignature{{cell}};
+  core::MobilityProfile profile;
+  profile.user = 1;
+  profile.places = {{7, hours(9), hours(17)}};
+  Json label = Json::object();
+  label.set("label", "home");
+  algorithms::RouteObservation route;
+  route.from_place = 7;
+  route.to_place = 8;
+  route.window = TimeWindow{hours(17), hours(18)};
+  const Json upload = core::to_json(core::RouteUpload{9, route});
+  using net::Method;
+  std::vector<ValueProbe> probes = {
+      {Method::Get, "/api/users/%/places", "", Json()},
+      {Method::Put, "/api/users/%/places/7", "", core::to_json(record)},
+      {Method::Put, "/api/users/1/places/%", "", core::to_json(record)},
+      {Method::Post, "/api/users/1/places/%/label", "", label},
+      {Method::Put, "/api/users/1/profiles/%", "", core::to_json(profile)},
+      {Method::Get, "/api/users/1/profiles/%", "", Json()},
+      {Method::Post, "/api/users/%/routes", "", upload},
+      {Method::Delete, "/api/users/%", "", Json()},
+      {Method::Delete, "/api/users/1/places/%", "", Json()},
+      {Method::Get, "/api/users/1/analytics/activity/%", "", Json()},
+      {Method::Get, "/api/geo/cell/%/10/101/1000", "", Json()},
+      {Method::Get, "/api/geo/cell/404/%/101/1000", "", Json()},
+      {Method::Get, "/api/geo/cell/404/10/%/1000", "", Json()},
+      {Method::Get, "/api/geo/cell/404/10/101/%", "", Json()},
+      {Method::Get, "/api/users/1/routes", "from", Json()},
+      {Method::Get, "/api/users/1/routes", "to", Json()},
+      {Method::Get, "/api/users/1/contacts", "place", Json()},
+      {Method::Get, "/tracez", "n", Json()},
+  };
+  for (const char* analytics :
+       {"arrival", "next_visit", "departure", "next_place"})
+    probes.push_back({Method::Get,
+                      std::string("/api/users/1/analytics/") + analytics + "/%",
+                      "", Json()});
+  return probes;
+}
+
+TEST(TotalDecoding, MalformedPathAndQueryValuesGetFourXxAndChangeNothing) {
+  for (const ValueProbe& probe : value_probes()) {
+    for (const char* bad : {"abc", "-1", "99999999999999999999", ""}) {
+      SeededCloud seeded;
+      std::string path = probe.path;
+      if (probe.query_key.empty()) path.replace(path.find('%'), 1, bad);
+      net::HttpRequest req = seeded.request(probe.method, path);
+      req.body = probe.body;
+      if (!probe.query_key.empty()) {
+        // The routes listing filters only when both ends are given.
+        if (path.ends_with("/routes")) req.query = {{"from", "1"}, {"to", "1"}};
+        req.query[probe.query_key] = bad;
+      }
+      SCOPED_TRACE(std::string(net::to_string(probe.method)) + " " + path +
+                   (probe.query_key.empty() ? "" : " ?" + probe.query_key) +
+                   " = '" + bad + "'");
+      const std::uint64_t before = seeded.digest();
+      const net::HttpResponse res = seeded.cloud.router().handle(req);
+      if (*bad != '\0') {  // an empty segment matches no route at all
+        EXPECT_NE(res.body.get_string("error", ""), "no route for " + path);
+      }
+      EXPECT_GE(res.status, 400);
+      EXPECT_LT(res.status, 500);
+      EXPECT_EQ(seeded.digest(), before);
     }
   }
 }
@@ -533,6 +661,44 @@ TEST(TotalDecoding, PmsTreatsUndecodableResponsesAsFailedExchanges) {
   for (const auto& entry : pms->outbox().entries())
     upsert_pending |= entry.kind == core::SyncKind::PlaceUpsert;
   EXPECT_TRUE(upsert_pending);
+}
+
+/// The retained "sync failed" warnings of a PMS whose place upserts draw
+/// `place_answer` with `status`; every other sync succeeds.
+std::string place_sync_failure_logs(Json place_answer, int status) {
+  net::Router server;
+  int registrations = 0;
+  add_register_route(server, &registrations, days(30));
+  server.add_route(net::Method::Put, "/api/users/:id/places/:uid",
+                   answer(std::move(place_answer), status));
+  for (const char* path : {"/api/users/:id/routes", "/api/users/:id/contacts"})
+    server.add_route(net::Method::Post, path,
+                     answer(Json::object(), net::kStatusCreated));
+  server.add_route(net::Method::Put, "/api/users/:id/profiles/:day",
+                   answer(Json::object(), net::kStatusCreated));
+  telemetry::logger().reset();
+  PmsRig rig(server);
+  EXPECT_TRUE(rig.pms->register_with_cloud(0));
+  rig.pms->run(TimeWindow{0, days(2)});
+  std::string logs;
+  for (const auto& record : telemetry::logger().recent())
+    if (record.component == "pms" &&
+        record.message.find("sync failed") != std::string::npos)
+      logs += record.message + "\n";
+  return logs;
+}
+
+TEST(TotalDecoding, OutboxFailureLogsCarryTheStatusReceived) {
+  const std::string outage = place_sync_failure_logs(
+      Json::object(), net::kStatusServiceUnavailable);
+  EXPECT_NE(outage.find("place sync failed (status 503)"), std::string::npos)
+      << outage;
+  const std::string undecodable =
+      place_sync_failure_logs(Json("x"), net::kStatusCreated);
+  EXPECT_NE(undecodable.find("place sync failed (status 201, malformed"),
+            std::string::npos)
+      << undecodable;
+  EXPECT_EQ((outage + undecodable).find("status 0"), std::string::npos);
 }
 
 TEST(TotalDecoding, UndecodableGrantIsAFailedRegistration) {
