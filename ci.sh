@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification, five legs: a plain build (plus the ScienceBands
-# 8-seed §4 bands, the golden study digest gates, a deployment-bench smoke
-# run, the perfbench selftest, and the telemetry ns/op budget gate), a warnings-as-errors build, an address+UB-sanitized one, a
+# 8-seed §4 bands, a test-name stability check, the golden study digest
+# gates, a deployment-bench smoke run, the perfbench selftest, and the
+# telemetry ns/op budget gate), a warnings-as-errors build, an
+# address+UB-sanitized one, a
 # thread-sanitized build that runs the Sharding-labeled tests (the
 # telemetry registry/tracer hammer, the sharded-cloud hammer, the
 # router/cloud suites, and the parallel deployment study) together with
@@ -36,6 +38,22 @@ run_suite() {
 }
 
 run_suite build "" "$@"
+
+# Test-name stability: ctest names each parameterized case after gtest's
+# print of its parameter, and for a plain struct that is a byte dump — so a
+# parameter struct with uninitialised padding renames its cases from run to
+# run (ASLR moves the garbage). List every test binary twice; any
+# difference fails.
+echo "=== test-name stability ==="
+for test_bin in build/tests/test_*; do
+  [[ -f "${test_bin}" && -x "${test_bin}" ]] || continue
+  if ! diff <("${test_bin}" --gtest_list_tests) \
+            <("${test_bin}" --gtest_list_tests); then
+    echo "test names of ${test_bin} differ between two listings" >&2
+    exit 1
+  fi
+done
+echo "test names stable"
 
 # Golden-digest gate: the deployment study must stay byte-identical to the
 # digest captured at the pre-change baseline and committed with each

@@ -227,30 +227,14 @@ int main(int argc, char** argv) {
 
   // --- Sync reliability digest: what failed, what the outbox recovered,
   // and whether anything was actually lost (evicted or still pending).
-  std::size_t sync_failures = 0, enqueued = 0, delivered = 0, recovered = 0,
-              evicted = 0, dropped = 0, pending = 0;
   const auto& reg = telemetry::registry();
-  if (!result.participants.empty()) {
-    for (const auto& p : result.participants) {
-      sync_failures += p.pms_stats.sync_failures;
-      enqueued += p.pms_stats.outbox_enqueued;
-      delivered += p.pms_stats.outbox_delivered;
-      recovered += p.pms_stats.outbox_recovered;
-      evicted += p.pms_stats.outbox_evicted;
-      dropped += p.pms_stats.outbox_dropped;
-      pending += p.pms_stats.outbox_pending;
-    }
-  } else {
-    // Aggregate-only streaming run: per-participant results were folded
-    // away, so read the study-wide registry families instead.
-    sync_failures = reg.family_total("pms_sync_failures_total");
-    enqueued = reg.family_total("pms_outbox_enqueued_total");
-    delivered = reg.family_total("pms_outbox_delivered_total");
-    recovered = reg.family_total("pms_outbox_recovered_total");
-    evicted = reg.family_total("pms_outbox_evicted_total");
-    dropped = reg.family_total("pms_outbox_dropped_total");
-    pending = enqueued - delivered - evicted - dropped;
-  }
+  const std::size_t sync_failures = reg.family_total("pms_sync_failures_total");
+  const std::size_t enqueued = reg.family_total("pms_outbox_enqueued_total");
+  const std::size_t delivered = reg.family_total("pms_outbox_delivered_total");
+  const std::size_t recovered = reg.family_total("pms_outbox_recovered_total");
+  const std::size_t evicted = reg.family_total("pms_outbox_evicted_total");
+  const std::size_t dropped = reg.family_total("pms_outbox_dropped_total");
+  const std::size_t pending = enqueued - delivered - evicted - dropped;
   std::printf("\n--- sync reliability ---\n");
   std::printf("  sync failures:     %zu\n", sync_failures);
   std::printf("  outbox enqueued:   %zu (delivered %zu, recovered after "

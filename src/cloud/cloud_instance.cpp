@@ -47,11 +47,13 @@ T param(const PathParams& params, const char* name) {
   return decimal<T>(params.at(name), name);
 }
 
-/// The registration session the request claims to act under (0 if absent).
+/// The registration session the request claims to act under (0 if absent),
+/// parsed by decimal(): "-1" or an overflowing value must not wrap to the
+/// largest session, which would pass (or, on a wipe, raise) every tombstone.
 std::uint64_t request_session(const HttpRequest& request) {
   const auto it = request.headers.find(net::kSessionHeader);
   if (it == request.headers.end()) return 0;
-  return std::strtoull(it->second.c_str(), nullptr, 10);
+  return decimal<std::uint64_t>(it->second, net::kSessionHeader);
 }
 
 }  // namespace

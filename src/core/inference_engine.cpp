@@ -57,17 +57,12 @@ std::size_t InferenceEngine::consume_run(
 
 void InferenceEngine::attach() {
   // Run-oriented dispatch: the scheduler hands each interface a whole run
-  // of fire times; the adapters process samples in order and truncate the
-  // run on any schedule change, which keeps adaptive sensing byte-identical
-  // to per-sample dispatch.
+  // of fire times; consume_run processes samples in order and truncates the
+  // run on any schedule change, so adaptive sensing re-plans right after
+  // the sample that changed the policy.
   scheduler_->set_batch_callback(
       Interface::Gsm, [this](std::span<const SimTime> run) {
-        return device_->read_gsm_run(
-            run, [this](const sensing::GsmReading& reading) {
-              const std::uint64_t before = scheduler_->change_epoch();
-              on_gsm_reading(reading);
-              return scheduler_->change_epoch() == before;
-            });
+        return consume_run(run, &InferenceEngine::on_gsm);
       });
   scheduler_->set_batch_callback(
       Interface::Wifi, [this](std::span<const SimTime> run) {
@@ -135,11 +130,7 @@ void InferenceEngine::refresh_policy(SimTime t) {
 
 void InferenceEngine::on_gsm(SimTime t) {
   device_->read_gsm_into(t, gsm_scratch_);
-  on_gsm_reading(gsm_scratch_);
-}
-
-void InferenceEngine::on_gsm_reading(const sensing::GsmReading& reading) {
-  const SimTime t = reading.t;
+  const sensing::GsmReading& reading = gsm_scratch_;
   if (reading.serving.mcc == 0) return;  // dead zone, nothing heard yet
   gsm_log_.push_back({t, reading.serving});
 

@@ -191,10 +191,6 @@ class InferenceEngine {
  private:
   // Sensor callbacks.
   void on_gsm(SimTime t);
-  /// GSM handling after the modem read — shared by the single-sample path
-  /// and the run-oriented batch path (which reads via Device::read_gsm_run
-  /// into a reusable scratch reading).
-  void on_gsm_reading(const sensing::GsmReading& reading);
   void on_wifi(SimTime t);
   void on_gps(SimTime t);
   void on_accel(SimTime t);

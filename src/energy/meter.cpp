@@ -15,8 +15,8 @@ void EnergyMeter::charge_samples(Interface interface, std::size_t n,
                                  SimTime /*t*/) {
   const auto idx = static_cast<std::size_t>(interface);
   const double e = profile_.sample_energy(interface);
-  // Summed one sample at a time, not as n*e: repeated addition is what the
-  // per-sample path does, and the study fingerprint compares joules exactly.
+  // Summed one sample at a time, not as n*e: repeated addition is what
+  // charge_sample() does, and the study fingerprint compares joules exactly.
   for (std::size_t k = 0; k < n; ++k) per_interface_j_[idx] += e;
   per_interface_count_[idx] += n;
 }

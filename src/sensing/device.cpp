@@ -21,7 +21,7 @@ Device::Device(std::shared_ptr<const world::World> world, PositionOracle oracle,
 
 const std::vector<world::HeardCell>& Device::cell_env(const geo::LatLng& pos) {
   ++env_queries_;
-  if (config_.reuse_world_env && cell_env_pos_ && *cell_env_pos_ == pos) {
+  if (cell_env_pos_ && *cell_env_pos_ == pos) {
     ++env_hits_;
     return cell_env_;
   }
@@ -32,7 +32,7 @@ const std::vector<world::HeardCell>& Device::cell_env(const geo::LatLng& pos) {
 
 const std::vector<world::HeardAp>& Device::ap_env(const geo::LatLng& pos) {
   ++env_queries_;
-  if (config_.reuse_world_env && ap_env_pos_ && *ap_env_pos_ == pos) {
+  if (ap_env_pos_ && *ap_env_pos_ == pos) {
     ++env_hits_;
     return ap_env_;
   }
@@ -73,8 +73,8 @@ void Device::read_gsm_into(SimTime t, GsmReading& reading) {
 
   // Add per-sample fading and pick the strongest cell in the preferred RAT;
   // fall back to any RAT when the preferred layer is silent. The fading
-  // normals are drawn in heard order — the order the cached environment
-  // preserves — so cached and uncached reads consume identical RNG streams.
+  // normals are drawn in heard order, which the memoized environment
+  // preserves.
   faded_.clear();
   for (const auto& h : heard)
     faded_.push_back({h.cell, h.rssi_dbm + rng_.normal(0, config_.fading_sigma_db)});
@@ -146,18 +146,6 @@ void Device::read_gsm_into(SimTime t, GsmReading& reading) {
   }
 }
 
-std::size_t Device::read_gsm_run(
-    std::span<const SimTime> times,
-    const std::function<bool(const GsmReading&)>& sink) {
-  std::size_t n = 0;
-  for (const SimTime t : times) {
-    read_gsm_into(t, gsm_scratch_);
-    ++n;
-    if (!sink(gsm_scratch_)) break;
-  }
-  return n;
-}
-
 WifiScan Device::scan_wifi(SimTime t) {
   WifiScan scan;
   scan_wifi_into(t, scan);
@@ -174,18 +162,6 @@ void Device::scan_wifi_into(SimTime t, WifiScan& scan) {
     if (rssi < world::kWifiDetectionDbm) continue;
     scan.aps.push_back({ap.bssid, rssi});
   }
-}
-
-std::size_t Device::scan_wifi_run(
-    std::span<const SimTime> times,
-    const std::function<bool(const WifiScan&)>& sink) {
-  std::size_t n = 0;
-  for (const SimTime t : times) {
-    scan_wifi_into(t, wifi_scratch_);
-    ++n;
-    if (!sink(wifi_scratch_)) break;
-  }
-  return n;
 }
 
 GpsFix Device::read_gps(SimTime t) {

@@ -12,12 +12,11 @@
 // most of the day, so the device memoizes it keyed on the exact position
 // and only re-runs the spatial query + path-loss + sort when the position
 // changes. The stochastic part (per-sample fading, missed beacons) is drawn
-// per sample from the device RNG in exactly the same order as the uncached
-// path, so readings are byte-identical with the cache on or off
-// (reuse_world_env) — that equivalence is what lets the deployment study
-// digests stay unchanged. The *_into / *_run entry points reuse
-// caller-owned readings and internal scratch buffers: after warmup the
-// per-sample loop performs no heap allocations.
+// per sample from the device RNG, in the order the environment lists the
+// towers/APs — the order the memo preserves — so a memo hit reads exactly
+// what a fresh query would. The *_into entry points refill caller-owned
+// readings and reuse internal scratch buffers: after warmup the per-sample
+// loop performs no heap allocations.
 #pragma once
 
 #include <functional>
@@ -43,10 +42,6 @@ struct DeviceConfig {
   double activity_error_prob = 0.05;  ///< accelerometer misclassification
   double bluetooth_range_m = 12.0;
   double bluetooth_miss_prob = 0.15;
-  /// Reuse the hearable-cells / visible-APs spatial query result while the
-  /// position is unchanged (dwells dominate real traces). Readings are
-  /// byte-identical either way; off = honest "before" baseline for benches.
-  bool reuse_world_env = true;
 };
 
 /// Ground-truth oracle the device samples: where the participant is and what
@@ -80,19 +75,6 @@ class Device {
   /// Allocation-free scan_wifi: refills `out` in place.
   void scan_wifi_into(SimTime t, WifiScan& out);
 
-  /// Reads a run of GSM samples at the given times, reusing one scratch
-  /// reading. `sink(reading)` is invoked per sample in order; returning
-  /// false stops the run after that sample. Returns how many samples were
-  /// read (== the count the scheduler should treat as consumed). RNG draws
-  /// happen in exactly per-sample order, so interleaving runs with single
-  /// reads is byte-identical.
-  std::size_t read_gsm_run(std::span<const SimTime> times,
-                           const std::function<bool(const GsmReading&)>& sink);
-
-  /// WiFi analogue of read_gsm_run().
-  std::size_t scan_wifi_run(std::span<const SimTime> times,
-                            const std::function<bool(const WifiScan&)>& sink);
-
   /// Attempts a GPS fix.
   GpsFix read_gps(SimTime t);
 
@@ -104,11 +86,8 @@ class Device {
       SimTime t,
       std::span<const std::pair<world::DeviceId, geo::LatLng>> others);
 
-  const DeviceConfig& config() const { return config_; }
-  const world::World& world() const { return *world_; }
-
-  /// Spatial-query cache effectiveness: queries answered from the cached
-  /// environment vs. total. The microbench asserts a high hit rate on
+  /// Position-memo effectiveness: queries answered from the memoized
+  /// environment vs. total. CachedDeviceFixture asserts a high hit rate on
   /// dwell-dominated traces.
   std::uint64_t env_queries() const { return env_queries_; }
   std::uint64_t env_hits() const { return env_hits_; }
@@ -143,8 +122,6 @@ class Device {
     double rssi;
   };
   std::vector<Candidate> faded_;
-  GsmReading gsm_scratch_;
-  WifiScan wifi_scratch_;
 };
 
 }  // namespace pmware::sensing

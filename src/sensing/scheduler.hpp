@@ -10,21 +10,23 @@
 // entries is a handful of compares — cheaper than any heap or timing wheel
 // at this fan-in), and for the earliest interface the scheduler computes the
 // *run* of consecutive fire times up to the next foreign event (another
-// interface, a one-shot, or the window end) and dispatches the whole run
-// through one batch callback into a pre-sized reusable buffer. Only
-// one-shots still go through a min-heap, because their arrival order is
+// interface, a one-shot, or the window end) and hands the whole run to that
+// interface's batch callback — the only way samples leave the scheduler.
+// An interface with a period but no callback consumes every run whole: its
+// samples are metered and counted, nothing else (energy-only simulations).
+// Only one-shots still go through a min-heap, because their arrival order is
 // data-dependent. Schedule changes are tracked with per-interface
 // generation counters plus a global change epoch: a set_period/request_once
 // from inside a run truncates it — the batch consumer stops consuming, the
-// scheduler re-plans from the last consumed sample — so adaptive-sensing
-// semantics are identical to per-sample dispatch (fuzz-verified against
-// ReferenceScheduler, the retired heap implementation).
+// scheduler re-plans from the last consumed sample — so adaptive sensing
+// sees the same fire times as a loop that re-plans after every sample
+// (fuzz-verified against ReferenceScheduler, the retired heap
+// implementation kept as the test oracle).
 //
-// Determinism contract (unchanged): dispatch is time-ordered; at equal
-// times periodic interfaces fire before one-shots, periodic in ascending
-// interface index, one-shots in (interface index, request order). Batching
-// never reorders callbacks, so RNG draw order — and therefore every study
-// digest — is byte-identical to per-sample dispatch.
+// Determinism contract: dispatch is time-ordered; at equal times periodic
+// interfaces fire before one-shots, periodic in ascending interface index,
+// one-shots in (interface index, request order). Batching never reorders
+// samples, so RNG draw order — and therefore every study digest — is fixed.
 #pragma once
 
 #include <array>
@@ -44,8 +46,6 @@ namespace pmware::sensing {
 
 class SamplingScheduler {
  public:
-  using Callback = std::function<void(SimTime)>;
-
   /// Batch handler: receives a run of fire times for one interface (always
   /// non-empty, strictly increasing, one period apart) and returns how many
   /// it consumed, in order, from the front. Consuming fewer than the full
@@ -74,12 +74,8 @@ class SamplingScheduler {
     return periods_[static_cast<std::size_t>(interface)];
   }
 
-  /// Installs the handler invoked on each sample of `interface`.
-  void set_callback(energy::Interface interface, Callback cb);
-
-  /// Installs a run-oriented handler for `interface`; takes precedence over
-  /// the per-sample callback when both are set. One-shots arrive as runs of
-  /// length 1.
+  /// Installs the run-oriented handler for `interface`. One-shots arrive as
+  /// runs of length 1. Without one, the interface's runs are consumed whole.
   void set_batch_callback(energy::Interface interface, BatchCallback cb);
 
   /// Requests a single extra sample at time `at` (>= now); used for
@@ -123,20 +119,16 @@ class SamplingScheduler {
 
   /// Dispatches the run of interface `index` starting at `t0`, bounded by
   /// the earliest foreign event (`horizon`, exclusive).
-  void dispatch_periodic_run(std::size_t index, SimTime t0, SimTime horizon,
-                             TimeWindow window);
-  /// Dispatches the snapshot of one-shots due at <= t (all at time t).
+  void dispatch_periodic_run(std::size_t index, SimTime t0, SimTime horizon);
+  /// Dispatches the snapshot of one-shots due at <= t (all at time t), each
+  /// as a run of one.
   void dispatch_due_one_shots(SimTime t);
-  /// Fires one sample of `index` at `t` through the batch callback (span of
-  /// one) or the per-sample callback.
-  void dispatch_single(std::size_t index, SimTime t);
 
   energy::EnergyMeter* meter_;
   std::string instance_;  ///< registry label isolating this device's gauges
   std::array<std::optional<SimDuration>, energy::kInterfaceCount> periods_{};
   std::array<std::optional<SimTime>, energy::kInterfaceCount> next_due_{};
   std::array<std::uint64_t, energy::kInterfaceCount> generation_{};
-  std::array<Callback, energy::kInterfaceCount> callbacks_{};
   std::array<BatchCallback, energy::kInterfaceCount> batch_callbacks_{};
   std::priority_queue<OneShot, std::vector<OneShot>, ShotLater> shots_;
   std::uint64_t one_shot_seq_ = 0;

@@ -1,7 +1,7 @@
 // Reference sampling scheduler: the retired min-heap implementation, kept
-// verbatim (modulo the class name) as the equivalence oracle for the
-// run-oriented SamplingScheduler and as the "before" baseline in the
-// scheduler dispatch microbench.
+// verbatim (modulo the class name) as the equivalence oracle that
+// SchedulerPerf.FuzzBatchedMatchesReferenceHeap checks the run-oriented
+// SamplingScheduler against.
 //
 // The event loop is a min-heap of due events (periodic firings and
 // one-shots). Periodic entries are invalidated lazily via per-interface
@@ -10,7 +10,7 @@
 // sample builds a LabelSet and takes a locked registry lookup — the exact
 // per-sample cost profile the batched scheduler was built to remove.
 //
-// Do not use in production paths; it exists for tests and benches only.
+// Do not use in production paths; it exists for that test only.
 #pragma once
 
 #include <array>

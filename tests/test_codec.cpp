@@ -2,6 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
+namespace pmware::algorithms {
+
+// gtest names each SignatureKindSweep case after its printed parameter. By
+// default a set-based signature prints as a byte dump of its std::set, heap
+// pointers included, so the names changed from run to run; print the set's
+// size instead.
+void PrintTo(const CellSignature& signature, std::ostream* os) {
+  *os << signature.cells.size() << " cells";
+}
+
+void PrintTo(const WifiSignature& signature, std::ostream* os) {
+  *os << signature.aps.size() << " aps";
+}
+
+}  // namespace pmware::algorithms
+
 namespace pmware::core {
 namespace {
 

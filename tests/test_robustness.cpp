@@ -544,6 +544,33 @@ TEST(TotalDecoding, MalformedPathAndQueryValuesGetFourXxAndChangeNothing) {
   }
 }
 
+// A session header that is not a decimal uint64 is refused, not wrapped:
+// "-1" or 2^64 once parsed to 2^64 - 1, which passed every wipe tombstone
+// on a write and, on a wipe, raised one that fenced out every later session.
+TEST(TotalDecoding, MalformedSessionHeaderGetsFourHundredAndChangesNothing) {
+  core::PlaceRecord record;
+  record.uid = 9;
+  for (const char* bad : {"-1", "abc", "18446744073709551616", ""}) {
+    for (const net::Method method : {net::Method::Put, net::Method::Delete}) {
+      SeededCloud seeded;
+      net::HttpRequest req = seeded.request(
+          method, method == net::Method::Put ? "/api/users/1/places/9"
+                                             : "/api/users/1");
+      if (method == net::Method::Put) req.body = core::to_json(record);
+      req.headers[net::kSessionHeader] = bad;
+      SCOPED_TRACE(std::string(net::to_string(method)) + " " + req.path +
+                   " session '" + bad + "'");
+      const std::uint64_t before = seeded.digest();
+      const std::uint64_t tombstone =
+          seeded.cloud.storage().tombstone_session(1);
+      EXPECT_EQ(seeded.cloud.router().handle(req).status,
+                net::kStatusBadRequest);
+      EXPECT_EQ(seeded.digest(), before);
+      EXPECT_EQ(seeded.cloud.storage().tombstone_session(1), tombstone);
+    }
+  }
+}
+
 TEST(TotalDecoding, MalformedContactsBatchAppliesNothingSoReplayStoresAll) {
   SeededCloud seeded(/*with_data=*/false);
   const core::EncounterEntry first{5, 7, hours(9), hours(10)};

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 namespace pmware {
 namespace {
 
@@ -80,6 +83,10 @@ struct OverlapCase {
   TimeWindow a;
   TimeWindow b;
   bool overlaps;
+  // gtest prints this struct byte by byte into each case's ctest name. The
+  // padding after `overlaps` is named so it is zeroed; left implicit it held
+  // stack garbage and the names changed from run to run.
+  std::array<std::uint8_t, 7> padding{};
   SimDuration overlap_len;
 };
 
@@ -95,12 +102,13 @@ TEST_P(TimeWindowOverlap, OverlapSymmetry) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, TimeWindowOverlap,
-    ::testing::Values(OverlapCase{{0, 10}, {5, 15}, true, 5},
-                      OverlapCase{{0, 10}, {10, 20}, false, 0},
-                      OverlapCase{{0, 10}, {20, 30}, false, 0},
-                      OverlapCase{{0, 30}, {10, 20}, true, 10},
-                      OverlapCase{{5, 6}, {5, 6}, true, 1},
-                      OverlapCase{{0, 0}, {0, 10}, false, 0}));
+    ::testing::Values(
+        OverlapCase{.a{0, 10}, .b{5, 15}, .overlaps = true, .overlap_len = 5},
+        OverlapCase{.a{0, 10}, .b{10, 20}, .overlaps = false, .overlap_len = 0},
+        OverlapCase{.a{0, 10}, .b{20, 30}, .overlaps = false, .overlap_len = 0},
+        OverlapCase{.a{0, 30}, .b{10, 20}, .overlaps = true, .overlap_len = 10},
+        OverlapCase{.a{5, 6}, .b{5, 6}, .overlaps = true, .overlap_len = 1},
+        OverlapCase{.a{0, 0}, .b{0, 10}, .overlaps = false, .overlap_len = 0}));
 
 TEST(DailyWindow, SimpleWindow) {
   const DailyWindow w{hours(9), hours(18)};
