@@ -1,9 +1,10 @@
 // Content-addressing primitives shared by every cache in the middleware:
-// FNV-1a over byte strings and the boost-style 64-bit fold for structured
-// values. One definition instead of the per-module copies that used to
-// live in core/pms.cpp and cloud/storage.cpp — cache keys on both sides of
-// the wire must derive identically or conditional transfer and offload
-// caching silently degrade to 100% misses.
+// FNV-1a over byte strings, the SplitMix64 finalizer and the boost-style
+// 64-bit fold for structured values. One definition instead of the
+// per-module copies that used to live in core/pms.cpp, cloud/storage.cpp and
+// net/fault.cpp — cache keys on both sides of the wire must derive
+// identically or conditional transfer and offload caching silently degrade
+// to 100% misses.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +25,17 @@ inline std::uint64_t fnv1a(std::string_view s,
     h *= 1099511628211ull;
   }
   return h;
+}
+
+/// SplitMix64 finalizer (Steele, Lea & Flood): one golden-gamma step and
+/// the avalanche mix. Fixed arithmetic, so every roll or placement keyed by
+/// it is identical across platforms and standard libraries (std::hash would
+/// not be). splitmix64(0) is SplitMix64's first output from seed 0.
+inline constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
 }
 
 /// Order-dependent accumulate of one 64-bit value into a running digest

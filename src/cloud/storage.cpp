@@ -13,15 +13,7 @@ namespace pmware::cloud {
 namespace {
 
 using cache::fnv1a;
-
-/// splitmix64 finalizer: fixed mixing so shard placement is identical
-/// across platforms (std::hash would not be).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
+using cache::splitmix64;
 
 /// Canonical content blob of one user's store with the cloud-assigned user
 /// id normalized out (it depends on registration order, which is
@@ -122,7 +114,7 @@ CloudStorage& CloudStorage::operator=(const CloudStorage& other) {
 }
 
 std::size_t CloudStorage::shard_of(world::DeviceId id) const {
-  return static_cast<std::size_t>(mix64(id) % shards_.size());
+  return static_cast<std::size_t>(splitmix64(id) % shards_.size());
 }
 
 std::unique_lock<std::mutex> CloudStorage::lock_shard(std::size_t s) const {

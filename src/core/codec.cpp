@@ -404,9 +404,8 @@ algorithms::GcaResult gca_result_from_json(const Json& j) {
   return result;
 }
 
-Json discover_request_to_json(
-    std::span<const algorithms::CellObservation> observations,
-    std::optional<PrefixClaim> prefix) {
+Json observation_runs_to_json(
+    std::span<const algorithms::CellObservation> observations) {
   Json::Array cells;
   std::map<world::CellId, std::int64_t> dictionary;
   Json::Array runs;
@@ -437,16 +436,12 @@ Json discover_request_to_json(
   Json j = Json::object();
   j.set("cells", Json(std::move(cells)));
   j.set("runs", Json(std::move(runs)));
-  if (prefix) {
-    j.set("prefix_len", static_cast<std::int64_t>(prefix->len));
-    j.set("prefix_digest", hex64(prefix->digest));
-  }
   return j;
 }
 
 namespace {
 
-/// One (t0, period, count, cell_index) tuple of a discover body's "runs".
+/// One (t0, period, count, cell_index) tuple of an observation-runs body.
 struct ObservationRun {
   SimTime t0 = 0;
   SimTime period = 0;
@@ -476,7 +471,8 @@ ObservationRun run_at(const Json::Array& runs, std::size_t at,
 
 }  // namespace
 
-DiscoverRequest discover_request_from_json(const Json& j) {
+std::vector<algorithms::CellObservation> observation_runs_from_json(
+    const Json& j) {
   const std::vector<world::CellId> cells =
       array_at<world::CellId>(j, "cells", cell_from_json);
   const Json::Array& encoded = j.at("runs").as_array();
@@ -490,16 +486,31 @@ DiscoverRequest discover_request_from_json(const Json& j) {
   for (std::size_t at = 0; at < encoded.size(); at += 4) {
     runs.push_back(run_at(encoded, at, cells.size()));
     const auto count = static_cast<std::uint64_t>(runs.back().count);
-    if (count > kMaxDiscoverObservations - total)
-      throw JsonError("discover body expands past kMaxDiscoverObservations");
+    if (count > kMaxExpandedObservations - total)
+      throw JsonError("runs expand past kMaxExpandedObservations");
     total += static_cast<std::size_t>(count);
   }
-  DiscoverRequest request;
-  request.observations.reserve(total);
+  std::vector<algorithms::CellObservation> observations;
+  observations.reserve(total);
   for (const ObservationRun& run : runs)
     for (std::int64_t k = 0; k < run.count; ++k)
-      request.observations.push_back(
-          {run.t0 + k * run.period, cells[run.cell]});
+      observations.push_back({run.t0 + k * run.period, cells[run.cell]});
+  return observations;
+}
+
+Json discover_request_to_json(
+    std::span<const algorithms::CellObservation> observations,
+    std::optional<PrefixClaim> prefix) {
+  Json j = observation_runs_to_json(observations);
+  if (prefix) {
+    j.set("prefix_len", static_cast<std::int64_t>(prefix->len));
+    j.set("prefix_digest", hex64(prefix->digest));
+  }
+  return j;
+}
+
+DiscoverRequest discover_request_from_json(const Json& j) {
+  DiscoverRequest request{observation_runs_from_json(j), std::nullopt};
   if (j.contains("prefix_len"))
     request.prefix = PrefixClaim{uint_at<std::size_t>(j, "prefix_len"),
                                  hex64_from_json(j.at("prefix_digest"))};

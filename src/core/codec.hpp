@@ -95,19 +95,27 @@ struct PrefixClaim {
   std::size_t len = 0;
   std::uint64_t digest = 0;
 };
-/// Most observations one discover body may expand to. A year of one-minute
-/// GSM reads is ~525k; the decoder rejects a larger total before it
-/// allocates, so a hostile run count cannot reserve unbounded memory.
-inline constexpr std::size_t kMaxDiscoverObservations = std::size_t{1} << 22;
+/// Most observations one run-length body (a discover request or a
+/// checkpoint's GSM log) may expand to. A year of one-minute GSM reads is
+/// ~525k; the decoder rejects a larger total before it allocates, so a
+/// hostile run count cannot reserve unbounded memory.
+inline constexpr std::size_t kMaxExpandedObservations = std::size_t{1} << 22;
 
-/// POST /api/places/discover, run-length encoded:
+/// A GSM observation stream, run-length encoded:
 ///   {"cells": [<cell>, ...], "runs": [t0, period, count, cell_index, ...]}
-/// plus {prefix_len, prefix_digest} for a suffix upload. "cells" is the
-/// request's cell dictionary in order of first use; each 4-tuple of "runs"
-/// is a maximal stretch of reads of one cell at a constant positive gap
-/// (a single read has period 0), so any time sequence round-trips exactly.
-/// The decoder expands the runs straight into `observations`; prefix_len
-/// counts expanded observations.
+/// "cells" is the stream's cell dictionary in order of first use; each
+/// 4-tuple of "runs" is a maximal stretch of reads of one cell at a constant
+/// positive gap (a single read has period 0), so any time sequence
+/// round-trips exactly. The decoder validates every run and bounds the
+/// expanded total by kMaxExpandedObservations before it expands them.
+Json observation_runs_to_json(
+    std::span<const algorithms::CellObservation> observations);
+std::vector<algorithms::CellObservation> observation_runs_from_json(
+    const Json& j);
+
+/// POST /api/places/discover: the observation runs plus {prefix_len,
+/// prefix_digest} for a suffix upload; prefix_len counts expanded
+/// observations.
 struct DiscoverRequest {
   std::vector<algorithms::CellObservation> observations;
   std::optional<PrefixClaim> prefix;

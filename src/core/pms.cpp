@@ -60,11 +60,14 @@ constexpr int kGcaCacheKey = 0;
 // --- Checkpoint wire format (Pms::save/restore) ---
 // A manifest line {"format","version","lines","digest"} followed by `lines`
 // JSONL lines of sectioned body: each section is a {"section","lines"} header
-// followed by that many payload lines. The digest is fnv1a over the body
-// bytes, so restore() detects a torn or bit-flipped checkpoint before
-// committing anything.
+// followed by that many payload lines. Most sections hold one codec record
+// per line; "gsm_log" is one observation-runs line (the discover body's
+// run-length form). The digest is fnv1a over the body bytes, so restore()
+// detects a torn or bit-flipped checkpoint before committing anything.
+// Version 1 wrote one {t, cell} line per GSM read; restore() rejects it like
+// any other unknown version, and the caller cold-restarts.
 constexpr const char* kCheckpointFormat = "pms-checkpoint";
-constexpr std::int64_t kCheckpointVersion = 1;
+constexpr std::int64_t kCheckpointVersion = 2;
 
 /// Decodes a 2xx response's body; nullopt when the request failed or the
 /// body is malformed, so the caller treats the exchange as failed instead
@@ -805,7 +808,8 @@ void PmwareMobileService::save(std::ostream& out) const {
   const Json preferences = Json::Object{
       {"sharing_enabled", preferences_.sharing_enabled()}, {"caps", caps}};
   emit_section("preferences", preferences.dump() + "\n");
-  emit_records("gsm_log", engine_.gsm_log());
+  emit_section("gsm_log",
+               observation_runs_to_json(engine_.gsm_log()).dump() + "\n");
   emit_records("visit_log", engine_.visit_log());
   emit_records("places", place_store_.records(),
                [](const auto& kv) { return to_json(kv.second); });
@@ -927,7 +931,9 @@ bool PmwareMobileService::restore(std::istream& in) {
           }
         }
       } else if (name == "gsm_log") {
-        snapshot.gsm_log = decode(cell_observation_from_json);
+        auto logs = decode(observation_runs_from_json);
+        if (declared != 1 || logs.size() != 1) return false;
+        snapshot.gsm_log = std::move(logs.front());
       } else if (name == "visit_log") {
         snapshot.visit_log = decode(logged_visit_from_json);
       } else if (name == "places") {

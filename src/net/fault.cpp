@@ -6,25 +6,14 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "cache/digest.hpp"
+
 namespace pmware::net {
 
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+using cache::fnv1a;
+using cache::splitmix64;
 
 /// Deterministic per-(request, attempt, rule) roll in [0, 1). The inputs are
 /// everything that distinguishes one logical request from another WITHOUT

@@ -21,7 +21,7 @@
 // scheduler re-plans from the last consumed sample — so adaptive sensing
 // sees the same fire times as a loop that re-plans after every sample
 // (fuzz-verified against ReferenceScheduler, the retired heap
-// implementation kept as the test oracle).
+// implementation kept as the test oracle under tests/).
 //
 // Determinism contract: dispatch is time-ordered; at equal times periodic
 // interfaces fire before one-shots, periodic in ascending interface index,

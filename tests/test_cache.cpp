@@ -119,6 +119,30 @@ TEST(ContentCache, TaxonomyAndEvictionsExportedAsCounters) {
   EXPECT_EQ(static_cast<std::uint64_t>(ev->value()), 1u);
 }
 
+// --- Digest primitives ----------------------------------------------------
+
+// SplitMix64's reference outputs from seed 0 (Steele, Lea & Flood; the same
+// vectors test_rng pins for Rng's seeding): output k is the finalizer of
+// k golden gammas. Fault rolls and shard placement both hash with it.
+TEST(Digest, SplitMix64FinalizerMatchesReferenceOutputs) {
+  constexpr std::uint64_t gamma = 0x9e3779b97f4a7c15ULL;
+  static_assert(cache::splitmix64(0) == 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(cache::splitmix64(gamma), 0x6e789e6aa1b965f4ULL);
+  EXPECT_EQ(cache::splitmix64(2 * gamma), 0x06c45d188009454fULL);
+  EXPECT_EQ(cache::splitmix64(3 * gamma), 0xf88bb8a8724c81ecULL);
+}
+
+// kDigestBasis is 1469598103934665603, not FNV's published offset basis
+// 14695981039346656037 (one digit short), so these are the repository's own
+// answers; every golden digest and fault roll depends on them.
+TEST(Digest, Fnv1aKnownAnswers) {
+  EXPECT_EQ(cache::fnv1a(""), cache::kDigestBasis);
+  EXPECT_EQ(cache::fnv1a("a"), 0x44bd8ad473cd9906ULL);
+  EXPECT_EQ(cache::fnv1a("foobar"), 0x88fad7c0a8ff07f2ULL);
+  // Chaining continues from the previous digest.
+  EXPECT_EQ(cache::fnv1a("bar", cache::fnv1a("foo")), cache::fnv1a("foobar"));
+}
+
 // --- Movement digest ------------------------------------------------------
 
 TEST(MovementDigest, SensitiveToTimeCellAndOrder) {

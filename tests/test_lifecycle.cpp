@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cache/digest.hpp"
 #include "cloud/cloud_instance.hpp"
@@ -67,6 +69,16 @@ std::string checkpoint_of(const PmwareMobileService& pms) {
   return out.str();
 }
 
+/// `body` under `checkpoint`'s manifest, with the line count and digest
+/// recomputed to cover it: a checkpoint that passes every framing check.
+std::string reframed(const std::string& checkpoint, const std::string& body) {
+  Json manifest = Json::parse(checkpoint.substr(0, checkpoint.find('\n')));
+  manifest.set("lines", static_cast<std::int64_t>(
+                            std::count(body.begin(), body.end(), '\n')));
+  manifest.set("digest", hex64(cache::fnv1a(body)));
+  return manifest.dump() + "\n" + body;
+}
+
 TEST(Lifecycle, CheckpointRoundTripRestoresState) {
   LifecycleHarness h(2);
   auto pms1 = h.boot();
@@ -100,6 +112,15 @@ TEST(Lifecycle, CheckpointRoundTripRestoresState) {
     EXPECT_EQ(restored->label, record.label);
     EXPECT_EQ(restored->granularity, record.granularity);
   }
+  const auto& gsm1 = pms1->inference().gsm_log();
+  const auto& gsm2 = pms2->inference().gsm_log();
+  ASSERT_FALSE(gsm1.empty());
+  ASSERT_EQ(gsm2.size(), gsm1.size());
+  for (std::size_t i = 0; i < gsm1.size(); ++i) {
+    EXPECT_EQ(gsm2[i].t, gsm1[i].t) << "read " << i;
+    EXPECT_EQ(gsm2[i].cell, gsm1[i].cell) << "read " << i;
+  }
+  EXPECT_EQ(movement_digest(gsm2), movement_digest(gsm1));
   const MobilityProfile p1 = pms1->profile_for(0);
   const MobilityProfile p2 = pms2->profile_for(0);
   ASSERT_EQ(p2.places.size(), p1.places.size());
@@ -111,6 +132,17 @@ TEST(Lifecycle, CheckpointRoundTripRestoresState) {
   // The second registration of the same identity is session 2.
   ASSERT_TRUE(pms2->register_with_cloud(days(2)));
   EXPECT_EQ(pms2->boot_epoch(), 2u);
+}
+
+// The GSM log is one run-length line, so a checkpoint grows with the
+// number of cell changes, not with the number of one-minute reads.
+TEST(Lifecycle, CheckpointStaysUnder96KiBAfterTenDays) {
+  LifecycleHarness h(10);
+  auto pms = h.boot();
+  ASSERT_TRUE(pms->register_with_cloud(0));
+  pms->run(TimeWindow{0, days(10)});
+  ASSERT_GT(pms->inference().gsm_log().size(), 10u * 1000u);
+  EXPECT_LT(checkpoint_of(*pms).size(), std::size_t{96} * 1024);
 }
 
 TEST(Lifecycle, RestoreDetectsTornCheckpoint) {
@@ -146,25 +178,102 @@ TEST(Lifecycle, CheckpointWithProfilesSectionRestores) {
   const MobilityProfile profile = pms1->profile_for(0);
   ASSERT_FALSE(profile.empty());
 
-  // Re-frame the body with a profiles section appended, under a manifest
-  // whose line count and digest cover it.
-  const std::size_t head_end = checkpoint.find('\n');
-  std::string body = checkpoint.substr(head_end + 1);
+  // Re-frame the body with a profiles section appended.
   Json header = Json::object();
   header.set("section", "profiles");
   header.set("lines", 1);
-  body += header.dump() + "\n" + to_json(profile).dump() + "\n";
-  Json manifest = Json::parse(checkpoint.substr(0, head_end));
-  manifest.set("lines", static_cast<std::int64_t>(
-                            std::count(body.begin(), body.end(), '\n')));
-  manifest.set("digest", hex64(cache::fnv1a(body)));
+  const std::string body = checkpoint.substr(checkpoint.find('\n') + 1) +
+                           header.dump() + "\n" + to_json(profile).dump() +
+                           "\n";
 
   auto pms2 = h.boot(19);
-  std::istringstream in(manifest.dump() + "\n" + body);
+  std::istringstream in(reframed(checkpoint, body));
   ASSERT_TRUE(pms2->restore(in));
   ASSERT_EQ(pms2->inference().visit_log().size(),
             pms1->inference().visit_log().size());
   EXPECT_EQ(pms2->profile_for(0).places.size(), profile.places.size());
+}
+
+/// `checkpoint` with the payload of section `name` replaced by `payload`
+/// (one string per line), re-framed so only the section's content can fail.
+std::string with_section(const std::string& checkpoint, const char* name,
+                         const std::vector<std::string>& payload) {
+  std::istringstream lines(checkpoint.substr(checkpoint.find('\n') + 1));
+  std::string body;
+  std::string line;
+  while (std::getline(lines, line)) {
+    Json header = Json::parse(line);
+    std::int64_t count = header.at("lines").as_int();
+    const bool replaced = header.at("section").as_string() == name;
+    if (replaced)
+      header.set("lines", static_cast<std::int64_t>(payload.size()));
+    body += header.dump() + "\n";
+    for (; count > 0 && std::getline(lines, line); --count)
+      if (!replaced) body += line + "\n";
+    if (replaced)
+      for (const std::string& p : payload) body += p + "\n";
+  }
+  return reframed(checkpoint, body);
+}
+
+TEST(Lifecycle, HostileGsmRunsSectionIsRejectedWithoutCommitting) {
+  LifecycleHarness h(2);
+  auto pms = h.boot();
+  ASSERT_TRUE(pms->register_with_cloud(0));
+  pms->run(TimeWindow{0, days(1)});
+  const std::string good = checkpoint_of(*pms);
+  const Json cell = to_json(pms->inference().gsm_log().front().cell);
+  pms->run(TimeWindow{days(1), days(2)});
+  const std::size_t reads = pms->inference().gsm_log().size();
+  const std::uint64_t digest = movement_digest(pms->inference().gsm_log());
+  const std::size_t visits = pms->inference().visit_log().size();
+  const std::size_t places = pms->places().records().size();
+
+  // Control: the same re-framing with the section's own line restores, so
+  // each rejection below is the run-length decoder's, not the framing's.
+  std::string own_line;
+  {
+    const std::size_t at = good.find(R"("section":"gsm_log")");
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t begin = good.find('\n', at) + 1;
+    own_line = good.substr(begin, good.find('\n', begin) - begin);
+    auto fresh = h.boot(53);
+    std::istringstream in(with_section(good, "gsm_log", {own_line}));
+    ASSERT_TRUE(fresh->restore(in));
+    EXPECT_FALSE(fresh->inference().gsm_log().empty());
+  }
+
+  const auto runs_line = [&cell](Json::Array runs) {
+    Json j = Json::object();
+    j.set("cells", Json(Json::Array{cell}));
+    j.set("runs", Json(std::move(runs)));
+    return j.dump();
+  };
+  const std::int64_t cap = static_cast<std::int64_t>(kMaxExpandedObservations);
+  const struct {
+    const char* what;
+    std::vector<std::string> payload;
+  } kCases[] = {
+      {"count 0", {runs_line({0, 60, 0, 0})}},
+      {"cell index outside the dictionary", {runs_line({0, 60, 2, 1})}},
+      {"runs length not a multiple of 4", {runs_line({0, 60, 2})}},
+      {"total of 2^22+1", {runs_line({0, 1, cap + 1, 0})}},
+      {"negative period", {runs_line({0, -60, 2, 0})}},
+      {"two lines", {own_line, own_line}},
+      {"the line plus an empty one", {own_line, ""}},
+      {"no line", {}},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.what);
+    std::istringstream in(with_section(good, "gsm_log", c.payload));
+    EXPECT_FALSE(pms->restore(in));
+    // The live service keeps its day-2 state.
+    EXPECT_EQ(pms->inference().gsm_log().size(), reads);
+    EXPECT_EQ(movement_digest(pms->inference().gsm_log()), digest);
+    EXPECT_EQ(pms->inference().visit_log().size(), visits);
+    EXPECT_EQ(pms->places().records().size(), places);
+    EXPECT_TRUE(pms->registered());
+  }
 }
 
 TEST(Lifecycle, AnySingleByteCorruptionIsDetected) {

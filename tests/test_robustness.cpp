@@ -428,7 +428,7 @@ std::vector<Json> malformed_run_bodies() {
     return j;
   };
   const std::int64_t cap =
-      static_cast<std::int64_t>(core::kMaxDiscoverObservations);
+      static_cast<std::int64_t>(core::kMaxExpandedObservations);
   const std::int64_t two62 = std::int64_t{1} << 62;
   return {
       body({0, 60, 2}),                // length not a multiple of 4

@@ -23,7 +23,7 @@
 #include "cache/digest.hpp"
 #include "sensing/device.hpp"
 #include "sensing/scheduler.hpp"
-#include "sensing/scheduler_reference.hpp"
+#include "scheduler_reference.hpp"
 #include "study/deployment.hpp"
 #include "util/rng.hpp"
 #include "world/world.hpp"
