@@ -865,8 +865,8 @@ bool PmwareMobileService::restore(std::istream& in) {
   }
   // A short read (torn checkpoint) or a digest mismatch (bit rot, a torn
   // final line) both fail before anything is touched.
+  // No reserve: `lines` in the manifest is not verified until the digest.
   std::vector<std::string> lines;
-  lines.reserve(expected_lines);
   std::string payload;
   while (lines.size() < expected_lines && std::getline(in, line)) {
     payload += line;
@@ -885,9 +885,16 @@ bool PmwareMobileService::restore(std::istream& in) {
   // of them decoded.
   InferenceEngine::LogSnapshot snapshot;
   std::vector<PlaceRecord> places;
-  Json scalars = Json::object();  // plain fields are read at commit
-  std::uint64_t digest = kDigestBasis;
-  std::uint64_t upload_digest = kDigestBasis;
+  struct {
+    bool registration_wanted = false;
+    PlaceUid next_uid = 1;
+    std::size_t routes_enqueued = 0;
+    std::size_t encounters_enqueued = 0;
+    std::size_t digest_fed = 0;
+    std::uint64_t digest = kDigestBasis;
+    std::size_t upload_acked = 0;
+    std::uint64_t upload_digest = kDigestBasis;
+  } scalars;
   bool sharing = true;
   std::vector<std::pair<std::string, Granularity>> caps;
   SyncOutbox staged_outbox(config_.outbox);
@@ -918,16 +925,32 @@ bool PmwareMobileService::restore(std::istream& in) {
         if (records.size() != 1) return false;
         const Json& j = records.front();
         if (name == "scalars") {
-          scalars = j;
-          digest = hex64_from_json(j.at("digest"));
-          upload_digest = hex64_from_json(j.at("upload_digest"));
+          // Read every field here, so a malformed one fails before commit.
+          const auto count = [&j](const char* key, std::int64_t fallback) {
+            const std::int64_t n = j.get_int(key, fallback);
+            if (n < 0) throw JsonError(std::string("negative ") + key);
+            return static_cast<std::size_t>(n);
+          };
+          scalars = {
+              .registration_wanted = j.get_bool("registration_wanted", false),
+              .next_uid = count("next_uid", 1),
+              .routes_enqueued = count("routes_enqueued", 0),
+              .encounters_enqueued = count("encounters_enqueued", 0),
+              .digest_fed = count("digest_fed", 0),
+              .digest = hex64_from_json(j.at("digest")),
+              .upload_acked = count("upload_acked", 0),
+              .upload_digest = hex64_from_json(j.at("upload_digest"))};
         } else {
           sharing = j.get_bool("sharing_enabled", true);
           if (j.contains("caps")) {
-            for (const auto& c : j.at("caps").as_array())
-              caps.emplace_back(
-                  c.at("app").as_string(),
-                  static_cast<Granularity>(c.at("cap").as_int()));
+            for (const auto& c : j.at("caps").as_array()) {
+              const std::int64_t cap = c.at("cap").as_int();
+              if (cap < static_cast<std::int64_t>(Granularity::Area) ||
+                  cap > static_cast<std::int64_t>(Granularity::Room))
+                return false;
+              caps.emplace_back(c.at("app").as_string(),
+                                static_cast<Granularity>(cap));
+            }
           }
         }
       } else if (name == "gsm_log") {
@@ -978,12 +1001,8 @@ bool PmwareMobileService::restore(std::istream& in) {
   // Commit. Credentials are deliberately NOT restored: the caller must
   // re-register, which also assigns this incarnation a fresh boot epoch —
   // restored outbox entries keep the epoch they were enqueued under.
-  const auto size_field = [&scalars](const char* key) {
-    return static_cast<std::size_t>(scalars.get_int(key, 0));
-  };
   engine_.restore_logs(std::move(snapshot));
-  place_store_.restore(std::move(places),
-                       static_cast<PlaceUid>(scalars.get_int("next_uid", 1)));
+  place_store_.restore(std::move(places), scalars.next_uid);
   preferences_.set_sharing_enabled(sharing);
   for (const auto& [app, cap] : caps) preferences_.set_app_cap(app, cap);
   outbox_ = std::move(staged_outbox);
@@ -993,16 +1012,16 @@ bool PmwareMobileService::restore(std::istream& in) {
     outbox_enqueued_counter_->get().inc(outbox_result.loaded);
   if (outbox_result.evicted > 0)
     outbox_evicted_counter_->get().inc(outbox_result.evicted);
-  registration_wanted_ = scalars.get_bool("registration_wanted", false);
+  registration_wanted_ = scalars.registration_wanted;
   user_id_.reset();
   token_expires_ = 0;
   boot_epoch_ = 0;
-  routes_enqueued_ = size_field("routes_enqueued");
-  encounters_enqueued_ = size_field("encounters_enqueued");
-  digest_fed_ = size_field("digest_fed");
-  digest_ = digest;
-  upload_acked_ = size_field("upload_acked");
-  upload_digest_ = upload_digest;
+  routes_enqueued_ = scalars.routes_enqueued;
+  encounters_enqueued_ = scalars.encounters_enqueued;
+  digest_fed_ = scalars.digest_fed;
+  digest_ = scalars.digest;
+  upload_acked_ = scalars.upload_acked;
+  upload_digest_ = scalars.upload_digest;
   synced_day_digest_ = std::move(synced_days);
   synced_place_digest_ = std::move(synced_places);
   day_digest_cache_.clear();

@@ -19,7 +19,11 @@ double Json::as_double() const {
 
 std::int64_t Json::as_int() const {
   if (type_ != Type::Number) throw JsonError("not a number");
-  return static_cast<std::int64_t>(std::llround(num_));
+  // A double holds every integer below 2^53 exactly; at or past it the
+  // parser may already have rounded the text, so the value is not known.
+  if (!(std::abs(num_) < 0x1p53)) throw JsonError("integer out of range");
+  if (num_ != std::trunc(num_)) throw JsonError("not an integer");
+  return static_cast<std::int64_t>(num_);
 }
 
 const std::string& Json::as_string() const {

@@ -60,12 +60,16 @@ class Json {
   /// Typed accessors; throw JsonError on type mismatch.
   bool as_bool() const;
   double as_double() const;
+  /// Also throws for a number that is not an integer, or whose magnitude
+  /// is 2^53 or more (past which a double no longer holds every integer).
   std::int64_t as_int() const;
   const std::string& as_string() const;
   const Array& as_array() const;
   const Object& as_object() const;
 
-  /// Object field access. `at` throws on missing key; `get` returns a default.
+  /// Object field access. `at` throws on missing key; `get` returns a
+  /// default for a missing key or another type (`get_int` still throws for
+  /// a number that `as_int` rejects).
   const Json& at(const std::string& key) const;
   bool contains(const std::string& key) const;
   double get_double(const std::string& key, double fallback) const;

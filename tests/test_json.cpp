@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace pmware {
 namespace {
 
@@ -154,6 +156,31 @@ TEST(Json, IntegerPrecision) {
   const std::int64_t uid = 9007199254740;  // < 2^53
   Json j(uid);
   EXPECT_EQ(Json::parse(j.dump()).as_int(), uid);
+}
+
+TEST(Json, AsIntIsTotal) {
+  // Every integer of magnitude below 2^53 decodes exactly.
+  const std::int64_t largest = (std::int64_t{1} << 53) - 1;
+  EXPECT_EQ(Json::parse("9007199254740991").as_int(), largest);
+  EXPECT_EQ(Json::parse("-9007199254740991").as_int(), -largest);
+  EXPECT_EQ(Json::parse("-0").as_int(), 0);
+  EXPECT_EQ(Json::parse("1e3").as_int(), 1000);
+  // A fraction is not rounded, and at or past 2^53 the parsed double may
+  // already be another integer than the text (2^53 + 1 reads as 2^53).
+  for (const char* text : {"1.5", "-0.5", "0.1", "9007199254740992",
+                           "9007199254740993", "-9007199254740992", "1e300"}) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW(Json::parse(text).as_int(), JsonError);
+  }
+  for (double x : {std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_THROW(Json(x).as_int(), JsonError);
+  // get_int falls back on a missing key or a non-number, never on a bad
+  // number.
+  const Json j = Json::parse(R"({"half": 0.5, "name": "x"})");
+  EXPECT_EQ(j.get_int("missing", 7), 7);
+  EXPECT_EQ(j.get_int("name", 7), 7);
+  EXPECT_THROW(j.get_int("half", 7), JsonError);
 }
 
 TEST(Json, EmptyContainers) {

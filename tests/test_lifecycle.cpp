@@ -216,6 +216,32 @@ std::string with_section(const std::string& checkpoint, const char* name,
   return reframed(checkpoint, body);
 }
 
+/// The first payload line of section `name` in `checkpoint`.
+std::string section_line(const std::string& checkpoint,
+                         const std::string& name) {
+  const std::size_t at = checkpoint.find(R"("section":")" + name + '"');
+  if (at == std::string::npos) return {};
+  const std::size_t begin = checkpoint.find('\n', at) + 1;
+  return checkpoint.substr(begin, checkpoint.find('\n', begin) - begin);
+}
+
+/// What a rejected restore must leave as it was.
+struct LiveState {
+  explicit LiveState(const PmwareMobileService& pms)
+      : reads(pms.inference().gsm_log().size()),
+        digest(movement_digest(pms.inference().gsm_log())),
+        visits(pms.inference().visit_log().size()),
+        places(pms.places().records().size()),
+        registered(pms.registered()) {}
+  bool operator==(const LiveState&) const = default;
+
+  std::size_t reads;
+  std::uint64_t digest;
+  std::size_t visits;
+  std::size_t places;
+  bool registered;
+};
+
 TEST(Lifecycle, HostileGsmRunsSectionIsRejectedWithoutCommitting) {
   LifecycleHarness h(2);
   auto pms = h.boot();
@@ -224,19 +250,13 @@ TEST(Lifecycle, HostileGsmRunsSectionIsRejectedWithoutCommitting) {
   const std::string good = checkpoint_of(*pms);
   const Json cell = to_json(pms->inference().gsm_log().front().cell);
   pms->run(TimeWindow{days(1), days(2)});
-  const std::size_t reads = pms->inference().gsm_log().size();
-  const std::uint64_t digest = movement_digest(pms->inference().gsm_log());
-  const std::size_t visits = pms->inference().visit_log().size();
-  const std::size_t places = pms->places().records().size();
+  const LiveState day2(*pms);
 
   // Control: the same re-framing with the section's own line restores, so
   // each rejection below is the run-length decoder's, not the framing's.
-  std::string own_line;
+  const std::string own_line = section_line(good, "gsm_log");
+  ASSERT_FALSE(own_line.empty());
   {
-    const std::size_t at = good.find(R"("section":"gsm_log")");
-    ASSERT_NE(at, std::string::npos);
-    const std::size_t begin = good.find('\n', at) + 1;
-    own_line = good.substr(begin, good.find('\n', begin) - begin);
     auto fresh = h.boot(53);
     std::istringstream in(with_section(good, "gsm_log", {own_line}));
     ASSERT_TRUE(fresh->restore(in));
@@ -268,12 +288,88 @@ TEST(Lifecycle, HostileGsmRunsSectionIsRejectedWithoutCommitting) {
     std::istringstream in(with_section(good, "gsm_log", c.payload));
     EXPECT_FALSE(pms->restore(in));
     // The live service keeps its day-2 state.
-    EXPECT_EQ(pms->inference().gsm_log().size(), reads);
-    EXPECT_EQ(movement_digest(pms->inference().gsm_log()), digest);
-    EXPECT_EQ(pms->inference().visit_log().size(), visits);
-    EXPECT_EQ(pms->places().records().size(), places);
-    EXPECT_TRUE(pms->registered());
+    EXPECT_TRUE(LiveState(*pms) == day2);
   }
+}
+
+// The same for the scalars and preferences sections: a cap outside
+// Area..Room, or a count that is negative, not an integer, or past 2^53,
+// fails the restore before anything commits.
+TEST(Lifecycle, HostileScalarsAndCapsAreRejectedWithoutCommitting) {
+  LifecycleHarness h(2);
+  auto pms = h.boot();
+  ASSERT_TRUE(pms->register_with_cloud(0));
+  pms->run(TimeWindow{0, days(1)});
+  const std::string good = checkpoint_of(*pms);
+  pms->run(TimeWindow{days(1), days(2)});
+  const LiveState day2(*pms);
+
+  const auto caps_line = [](Json cap) {
+    Json c = Json::object();
+    c.set("app", "placeads");
+    c.set("cap", std::move(cap));
+    Json j = Json::object();
+    j.set("sharing_enabled", true);
+    j.set("caps", Json(Json::Array{std::move(c)}));
+    return j.dump();
+  };
+  const Json scalars = Json::parse(section_line(good, "scalars"));
+  const auto scalars_line = [&scalars](const char* key, Json value) {
+    Json j = scalars;
+    j.set(key, std::move(value));
+    return j.dump();
+  };
+  // Control: Room, the finest cap, restores.
+  {
+    auto fresh = h.boot(53);
+    std::istringstream in(
+        with_section(good, "preferences", {caps_line(Json(2))}));
+    ASSERT_TRUE(fresh->restore(in));
+    EXPECT_EQ(fresh->preferences().app_cap("placeads"), Granularity::Room);
+  }
+
+  const struct {
+    const char* what;
+    const char* section;
+    std::string line;
+  } kCases[] = {
+      {"cap 7", "preferences", caps_line(Json(7))},
+      {"cap -1", "preferences", caps_line(Json(-1))},
+      {"cap 1.5", "preferences", caps_line(Json(1.5))},
+      {"next_uid 1.5", "scalars", scalars_line("next_uid", Json(1.5))},
+      {"negative routes_enqueued", "scalars",
+       scalars_line("routes_enqueued", Json(-1))},
+      {"upload_acked of 2^53", "scalars",
+       scalars_line("upload_acked", Json(std::int64_t{1} << 53))},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.what);
+    std::istringstream in(with_section(good, c.section, {c.line}));
+    EXPECT_FALSE(pms->restore(in));
+    EXPECT_TRUE(LiveState(*pms) == day2);
+    EXPECT_FALSE(pms->preferences().app_cap("placeads").has_value());
+  }
+}
+
+// The manifest's line count is read before the digest can vouch for it,
+// so a forged count must fail the read, not size an allocation.
+TEST(Lifecycle, HugeManifestLineCountIsRejectedWithoutThrowing) {
+  LifecycleHarness h(2);
+  auto pms = h.boot();
+  ASSERT_TRUE(pms->register_with_cloud(0));
+  pms->run(TimeWindow{0, days(1)});
+  const std::string good = checkpoint_of(*pms);
+  pms->run(TimeWindow{days(1), days(2)});
+  const LiveState day2(*pms);
+
+  const std::size_t eol = good.find('\n');
+  Json manifest = Json::parse(good.substr(0, eol));
+  manifest.set("lines", std::int64_t{1} << 50);
+  std::istringstream in(manifest.dump() + good.substr(eol));
+  bool restored = true;
+  EXPECT_NO_THROW(restored = pms->restore(in));
+  EXPECT_FALSE(restored);
+  EXPECT_TRUE(LiveState(*pms) == day2);
 }
 
 TEST(Lifecycle, AnySingleByteCorruptionIsDetected) {
