@@ -228,6 +228,18 @@ void BM_SchedulerDispatchBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerDispatchBatched)->Unit(benchmark::kMillisecond);
 
+// --- Radio fading: one normal draw per heard cell per GSM read ---
+
+/// Rng::normal with a run-time sigma, as read_gsm_into calls it; reports
+/// ns per draw.
+void BM_RngNormal(benchmark::State& state) {
+  Rng rng(20141208);
+  const double sigma = static_cast<double>(state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(rng.normal(0, sigma));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RngNormal)->Arg(4);
+
 // --- Device sampling: position-keyed world-environment memo ---
 
 /// read_gsm_into on a dwelling participant; asserts a zero-alloc steady

@@ -67,23 +67,32 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + offset);
 }
 
-double Rng::normal(double mean, double sigma) {
-  if (sigma < 0) throw std::invalid_argument("Rng::normal: sigma < 0");
-  if (sigma == 0) return mean;
-  if (has_spare_) {
-    has_spare_ = false;
-    return mean + sigma * spare_;
+double Rng::normal_outside_layers(std::uint64_t r) {
+  using namespace ziggurat;
+  for (;;) {
+    const std::size_t layer = r & (kLayers - 1);
+    const std::int64_t j = static_cast<std::int64_t>(r) >> 11;
+    const double x = static_cast<double>(j) * kLayerWidth[layer];
+    if (std::abs(j) < kLayerBound[layer]) return x;
+    if (layer == 0) {
+      // The tail beyond R (Marsaglia 1964): an exponential proposal of
+      // rate R, accepted with probability exp(-a^2 / 2).
+      double a = 0;
+      double b = 0;
+      do {
+        // 1 - unit() is in (0, 1], so both logs are finite.
+        a = -std::log(1 - unit()) / kR;
+        b = -std::log(1 - unit());
+      } while (b + b < a * a);
+      return j < 0 ? -(kR + a) : kR + a;
+    }
+    // The wedge: x is in the layer but past the part wholly under the
+    // curve; a uniform height in the layer's band decides.
+    const double y = kLayerDensity[layer] +
+                     unit() * (kLayerDensity[layer - 1] - kLayerDensity[layer]);
+    if (y < std::exp(-0.5 * x * x)) return x;
+    r = next();
   }
-  double u, v, s;
-  do {
-    u = 2 * unit() - 1;
-    v = 2 * unit() - 1;
-    s = u * u + v * v;
-  } while (s >= 1 || s == 0);
-  const double f = std::sqrt(-2 * std::log(s) / s);
-  spare_ = v * f;
-  has_spare_ = true;
-  return mean + sigma * u * f;
 }
 
 double Rng::exponential(double mean) {

@@ -250,8 +250,8 @@ TEST(RngKnownAnswer, BoundedIntegers) {
 
 TEST(RngKnownAnswer, NormalExponentialBernoulliPoisson) {
   Rng n(42);
-  for (double e : {4.9627967801449975, 1.868559790652088, 5.680651285504045,
-                   3.8046257405985218})
+  for (double e : {2.1999146841271267, 4.069902470076673, 2.9529122227618143,
+                   1.29617254525647})
     EXPECT_DOUBLE_EQ(n.normal(3.0, 2.0), e);
   Rng x(42);
   for (double e : {8.418252588232845, 1.9196510871585468, 20.642869237893294,
@@ -264,18 +264,25 @@ TEST(RngKnownAnswer, NormalExponentialBernoulliPoisson) {
   for (int e : {6, 3, 9, 5, 6, 4, 2, 4}) EXPECT_EQ(p.poisson(4.0), e);
 }
 
-TEST(RngKnownAnswer, NormalKeepsTheSpareVariate) {
-  // One polar iteration yields two normals: the second call draws nothing.
+TEST(RngKnownAnswer, NormalFastPathConsumesOneWord) {
+  // Seed 42's first raw word lands inside its layer: the draw costs exactly
+  // that word, so the next raw output is the stream's second.
   Rng rng(42);
-  Rng probe(42);
-  rng.normal(0, 1);
-  rng.normal(0, 1);
-  double u, v;
-  do {
-    u = 2 * probe.unit() - 1;
-    v = 2 * probe.unit() - 1;
-  } while (u * u + v * v >= 1 || u * u + v * v == 0);
-  EXPECT_EQ(rng.next(), probe.next());
+  EXPECT_DOUBLE_EQ(rng.normal(0, 1), -0.40004265793643673);
+  EXPECT_EQ(rng.next(), 0x519e4174576f3791ULL);
+}
+
+TEST(RngKnownAnswer, NormalWedgeAndTailDraws) {
+  // Seed 1517's first eight draws take the slow path twice: the third is
+  // decided by a wedge test and the seventh comes from the tail beyond R.
+  // Together they consume 13 raw words.
+  Rng rng(1517);
+  for (double e : {1.5142038453297508, 0.4630293541807749,
+                   -0.0014808464813239144, -0.8221841898718517,
+                   1.2685705897741741, 0.47006712729436145, 3.6578546646269103,
+                   0.40856375842849024})
+    EXPECT_DOUBLE_EQ(rng.normal(0, 1), e);
+  EXPECT_EQ(rng.next(), 0x40868d8f16365428ULL);
 }
 
 TEST(Rng, UniformIsHalfOpenAndDegenerateRangeIsLo) {
@@ -290,6 +297,62 @@ TEST(Rng, PoissonRejectsMeansOutsideValidRange) {
   EXPECT_THROW(rng.poisson(-1), std::invalid_argument);
   EXPECT_THROW(rng.poisson(701), std::invalid_argument);
   EXPECT_GE(rng.poisson(700), 0);
+}
+
+// The ziggurat tables are literals; check them against the construction
+// they encode: 128 regions of equal area v under f(x) = exp(-x^2 / 2).
+TEST(RngDistribution, ZigguratLayersHaveEqualArea) {
+  using namespace ziggurat;
+  const double scale = 0x1p52;
+  const auto f = [](double x) { return std::exp(-0.5 * x * x); };
+  const double tail =
+      std::sqrt(std::acos(-1.0) / 2) * std::erfc(kR / std::sqrt(2.0));
+  const double v = kR * f(kR) + tail;
+  EXPECT_EQ(kLayerWidth[kLayers - 1] * scale, kR);
+  EXPECT_DOUBLE_EQ(kLayerWidth[0] * scale, v / f(kR));
+  EXPECT_NEAR(static_cast<double>(kLayerBound[0]), scale * f(kR) * kR / v, 2);
+  EXPECT_EQ(kLayerDensity[0], 1.0);
+  EXPECT_EQ(kLayerBound[1], 0);
+  for (int i = 1; i < kLayers; ++i) {
+    SCOPED_TRACE(i);
+    const double x = kLayerWidth[i] * scale;
+    // x is x_i rounded to double, which moves f(x) by up to ~x^2 ulp.
+    EXPECT_NEAR(kLayerDensity[i] / f(x), 1.0, 1e-14);
+    EXPECT_NEAR(x * (kLayerDensity[i - 1] - kLayerDensity[i]), v, 1e-13);
+    if (i > 1) {
+      EXPECT_NEAR(static_cast<double>(kLayerBound[i]),
+                  scale * kLayerWidth[i - 1] / kLayerWidth[i], 2);
+    }
+  }
+}
+
+// The first four moments of 10^7 standard normals and the two-sided mass
+// beyond 1..4 sigma, each within five standard errors of its exact value.
+TEST(RngDistribution, NormalMomentsAndTails) {
+  constexpr int n = 10'000'000;
+  Rng rng(20141208);
+  double m[5] = {0, 0, 0, 0, 0};
+  std::int64_t beyond[5] = {0, 0, 0, 0, 0};
+  for (int i = 0; i < n; ++i) {
+    const double x = rng.normal(0, 1);
+    const double x2 = x * x;
+    m[1] += x;
+    m[2] += x2;
+    m[3] += x2 * x;
+    m[4] += x2 * x2;
+    for (int k = 1; k <= 4; ++k) beyond[k] += std::abs(x) > k;
+  }
+  // E[x^k] for k = 1..4 is 0, 1, 0, 3; Var[x^k] = E[x^2k] - E[x^k]^2 is
+  // 1, 2, 15, 96.
+  const double exact[5] = {0, 0, 1, 0, 3};
+  const double var[5] = {0, 1, 2, 15, 96};
+  for (int k = 1; k <= 4; ++k) {
+    SCOPED_TRACE(k);
+    EXPECT_NEAR(m[k] / n, exact[k], 5 * std::sqrt(var[k] / n));
+    const double p = std::erfc(k / std::sqrt(2.0));
+    EXPECT_NEAR(static_cast<double>(beyond[k]) / n, p,
+                5 * std::sqrt(p * (1 - p) / n));
+  }
 }
 
 class RngSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
