@@ -102,14 +102,14 @@ TEST(Population, GoldenStudyReproducesKnownAnswer) {
   ASSERT_TRUE(golden >> digest);
   const StudyResult run = DeploymentStudy(small_config()).run();
   EXPECT_EQ(run.storage_digest, digest);
-  EXPECT_EQ(run.total_discovered(), 18u);
+  EXPECT_EQ(run.total_discovered(), 17u);
   EXPECT_EQ(run.total_tagged(), 13u);
-  EXPECT_EQ(run.total_evaluable(), 12u);
-  EXPECT_EQ(run.total(algorithms::DiscoveredOutcome::Correct), 11u);
+  EXPECT_EQ(run.total_evaluable(), 13u);
+  EXPECT_EQ(run.total(algorithms::DiscoveredOutcome::Correct), 12u);
   EXPECT_EQ(run.total(algorithms::DiscoveredOutcome::Merged), 0u);
   EXPECT_EQ(run.total(algorithms::DiscoveredOutcome::Divided), 1u);
-  EXPECT_EQ(run.total_likes(), 40u);
-  EXPECT_EQ(run.total_dislikes(), 7u);
+  EXPECT_EQ(run.total_likes(), 32u);
+  EXPECT_EQ(run.total_dislikes(), 8u);
 }
 
 // Wire budget: the GCA offload ships one cell dictionary plus
