@@ -270,9 +270,6 @@ int main(int argc, char** argv) {
     std::printf("  cold restarts:     %llu profile-days re-pulled from cloud\n",
                 static_cast<unsigned long long>(
                     reg.family_total("pms_cold_profile_days_recovered_total")));
-    std::printf("  torn tails healed: %llu\n",
-                static_cast<unsigned long long>(
-                    reg.family_total("persistence_torn_tail_total")));
   }
 
   // Exact (non-lossy) digest line: ci.sh greps this to assert the study is
@@ -310,7 +307,7 @@ int main(int argc, char** argv) {
   };
   std::printf("\n--- caching (%s) ---\n", config.cache ? "on" : "off");
   for (const char* cache :
-       {"pms_gca", "cloud_gca", "cloud_analytics", "net_conditional"}) {
+       {"pms_gca", "cloud_analytics", "net_conditional"}) {
     std::printf("  %-16s local_hit %llu, cloud_hit %llu, recompute %llu, "
                 "miss %llu\n",
                 cache, outcome_total(cache, "local_hit"),

@@ -23,8 +23,7 @@ using net::PathParams;
 
 namespace {
 
-/// Metric-series names of the two cloud-side content caches.
-constexpr const char* kGcaCacheName = "cloud_gca";
+/// Metric-series name of the cloud-side analytics cache.
 constexpr const char* kAnalyticsCacheName = "cloud_analytics";
 constexpr std::size_t kAnalyticsCacheCapacity = 1024;
 
@@ -418,25 +417,7 @@ void CloudInstance::register_routes() {
         locked->gca_log = std::move(observations);
         locked->gca_log_digest = core::movement_digest(locked->gca_log);
       }
-      // Content-addressed elision: the digest of the movement graph is
-      // derived HERE from the retained stream, never sent as a cache key on
-      // the wire. The stream is append-only, so an equal digest means an
-      // identical graph and the remembered response (byte-identical by
-      // construction) short-circuits the clustering.
-      const std::uint64_t digest = locked->gca_log_digest;
-      if (config_.cache && locked->gca_response_digest == digest) {
-        cache::record_outcome(kGcaCacheName, cache::CacheOutcome::CloudHit);
-        return HttpResponse::json(locked->gca_response);
-      }
-      const bool had_cached = locked->gca_response_digest.has_value();
       body = core::to_json(locked->gca.run(locked->gca_log));
-      if (config_.cache) {
-        cache::record_outcome(kGcaCacheName,
-                              had_cached ? cache::CacheOutcome::Recompute
-                                         : cache::CacheOutcome::Miss);
-        locked->gca_response_digest = digest;
-        locked->gca_response = body;
-      }
     }
     return HttpResponse::json(std::move(body));
   });

@@ -45,13 +45,12 @@ struct CloudConfig {
   /// handlers, so a rejected request never mutates state — see
   /// net/fault.hpp and `FaultPlan::parse` for the --fault-plan grammar.
   net::FaultPlan fault_plan;
-  /// Server-side result caches (DESIGN.md "Content addressing & cache
-  /// coherence"): GCA offload responses keyed by movement-graph digest, and
-  /// analytics responses invalidated by the owning shard's write mark.
-  /// Cached responses are byte-identical to recomputed ones by design, so
-  /// disabling only trades work for none. ETag stamping on cacheable GETs
-  /// is always on (generation is one hash; 304s need a client that sends
-  /// If-None-Match).
+  /// Server-side analytics result cache (DESIGN.md "Content addressing &
+  /// cache coherence"): responses invalidated by the owning shard's write
+  /// mark. Cached responses are byte-identical to recomputed ones by
+  /// design, so disabling only trades work for none. ETag stamping on
+  /// cacheable GETs is always on (generation is one hash; 304s need a
+  /// client that sends If-None-Match).
   bool cache = true;
 };
 

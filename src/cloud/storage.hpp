@@ -21,14 +21,12 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "algorithms/gca.hpp"
 #include "algorithms/routes.hpp"
 #include "cache/digest.hpp"
 #include "core/model.hpp"
-#include "util/json.hpp"
 
 namespace pmware::cloud {
 
@@ -46,17 +44,9 @@ struct UserStore {
   /// device stamps each route POST with its log index ("seq") and each
   /// encounter batch with its starting index ("first_index"); entries below
   /// the mark were already applied and are skipped on replay. Bookkeeping,
-  /// not content — excluded from content_digest() like the GCA cache.
+  /// not content — excluded from content_digest() like the GCA state.
   std::uint64_t route_seq_high_water = 0;
   std::uint64_t encounter_high_water = 0;
-  /// Offload response cache for POST /api/places/discover: the serialized
-  /// response body last computed, versioned by the movement-graph digest
-  /// of the request that produced it (core::movement_digest). The upload
-  /// is append-only, so an equal digest means an identical graph and the
-  /// clustering can be skipped wholesale. Derived state like the GCA cache
-  /// — excluded from content_digest().
-  std::optional<std::uint64_t> gca_response_digest;
-  Json gca_response;
   /// The observation stream fed to `gca` so far, retained server-side so
   /// the device can upload only the suffix each pass (POST
   /// /api/places/discover with prefix_len/prefix_digest): a mapping-change
@@ -151,7 +141,7 @@ class CloudStorage {
   Stats stats() const;
 
   /// Order-independent digest of every user's stored content (places,
-  /// profiles, routes, encounters; the GCA cache is internal and excluded).
+  /// profiles, routes, encounters; the GCA state is internal and excluded).
   /// Cloud-assigned user ids are normalized out and per-user digests
   /// combine commutatively, so the digest is invariant under shard count
   /// and registration order — the study's determinism fingerprint.

@@ -47,22 +47,6 @@ TimeWindow window_at(const Json& j, const char* begin, const char* end) {
   return TimeWindow{b, e};
 }
 
-template <typename T, typename Decode>
-std::vector<T> array_at(const Json& j, const char* key, Decode decode) {
-  std::vector<T> out;
-  for (const auto& e : j.at(key).as_array()) out.push_back(decode(e));
-  return out;
-}
-
-template <typename Range, typename Encode>
-Json array_of(const Range& items, Encode encode) {
-  Json arr = Json::array();
-  for (const auto& item : items) arr.push_back(encode(item));
-  return arr;
-}
-
-const auto encode = [](const auto& record) { return to_json(record); };
-
 Granularity granularity_from_string(const std::string& s) {
   if (s == "area") return Granularity::Area;
   if (s == "building") return Granularity::Building;
@@ -115,7 +99,7 @@ geo::LatLng latlng_from_json(const Json& j) {
 Json to_json(const algorithms::PlaceSignature& sig) {
   if (const auto* c = std::get_if<algorithms::CellSignature>(&sig))
     return Json::Object{{"kind", "cells"},
-                        {"cells", array_of(c->cells, encode)}};
+                        {"cells", array_of(c->cells)}};
   if (const auto* w = std::get_if<algorithms::WifiSignature>(&sig))
     return Json::Object{{"kind", "wifi"},
                         {"aps", array_of(w->aps, [](world::Bssid b) {
@@ -323,7 +307,7 @@ Json to_json(const MobilityProfile& profile) {
               {"start", r.start},
               {"end", r.end}});
         }));
-  j.set("encounters", array_of(profile.encounters, encode));
+  j.set("encounters", array_of(profile.encounters));
   if (!profile.activity.empty()) j.set("activity", to_json(profile.activity));
   return j;
 }
@@ -531,7 +515,7 @@ RouteUpload route_upload_from_json(const Json& j) {
 Json to_json(const EncounterBatch& batch) {
   Json j = Json::object();
   if (batch.first_index) j.set("first_index", *batch.first_index);
-  j.set("encounters", array_of(batch.encounters, encode));
+  j.set("encounters", array_of(batch.encounters));
   return j;
 }
 

@@ -1,8 +1,9 @@
 // JSON codecs for the shared model: the only module that knows a record's
-// shape on the REST wire (paper §2.3.3) and in JSONL checkpoints. Decoders
-// are total: a missing or mistyped required field, an unknown enum name, an
-// out-of-range integer or an inverted time window throws JsonError, so
-// callers decode a whole body before they touch any state.
+// shape on the REST wire (paper §2.3.3), in PMS checkpoints and in exported
+// JSONL logs. Decoders are total: a missing or mistyped required field, an
+// unknown enum name, an out-of-range integer or an inverted time window
+// throws JsonError, so callers decode a whole body before they touch any
+// state.
 #pragma once
 
 #include <cstdint>
@@ -181,6 +182,27 @@ inline std::uint64_t movement_digest(
   std::uint64_t h = cache::kDigestBasis;
   fold_movement(h, observations);
   return h;
+}
+
+/// A JSON array of `encode(item)` for each of `items`, by default the
+/// item's codec encoding.
+template <typename Range, typename Encode>
+Json array_of(const Range& items, Encode encode) {
+  Json arr = Json::array();
+  for (const auto& item : items) arr.push_back(encode(item));
+  return arr;
+}
+template <typename Range>
+Json array_of(const Range& items) {
+  return array_of(items, [](const auto& item) { return to_json(item); });
+}
+
+/// Decodes every element of the array `j[key]` with `decode`.
+template <typename T, typename Decode>
+std::vector<T> array_at(const Json& j, const char* key, Decode decode) {
+  std::vector<T> out;
+  for (const auto& e : j.at(key).as_array()) out.push_back(decode(e));
+  return out;
 }
 
 }  // namespace pmware::core

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/persistence.hpp"
+#include "core/codec.hpp"
 
 namespace pmware::core {
 
@@ -54,12 +54,15 @@ bool SyncOutbox::remove(SyncKind kind, std::uint64_t key) {
   return true;
 }
 
-void SyncOutbox::save(std::ostream& out) const { write_jsonl(out, entries_); }
+Json SyncOutbox::save() const { return array_of(entries_); }
 
-SyncOutbox::LoadResult SyncOutbox::load(std::istream& in) {
+SyncOutbox::LoadResult SyncOutbox::load(const Json& entries) {
+  std::vector<OutboxEntry> decoded;
+  for (const Json& j : entries.as_array())
+    decoded.push_back(outbox_entry_from_json(j));
   LoadResult result;
   entries_.clear();
-  for (const OutboxEntry& entry : read_jsonl(in, outbox_entry_from_json)) {
+  for (const OutboxEntry& entry : decoded) {
     if (config_.capacity > 0 && entries_.size() >= config_.capacity) {
       entries_.pop_front();
       ++result.evicted;

@@ -12,9 +12,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <iosfwd>
 #include <optional>
 
+#include "util/json.hpp"
 #include "util/simtime.hpp"
 
 namespace pmware::core {
@@ -91,23 +91,23 @@ class SyncOutbox {
   const std::deque<OutboxEntry>& entries() const { return entries_; }
   const OutboxConfig& config() const { return config_; }
 
-  /// Serializes every pending entry as JSONL (front first), preserving
+  /// Every pending entry as a JSON array (front first), preserving
   /// enqueued_at / attempts / epoch so a restored queue resumes exactly
   /// where the crashed one stopped.
-  void save(std::ostream& out) const;
+  Json save() const;
 
   struct LoadResult {
     std::size_t loaded = 0;   ///< entries now queued
     std::size_t evicted = 0;  ///< oldest entries dropped to fit capacity
   };
 
-  /// Replaces the queue with the serialized entries. FIFO order, dedup
-  /// state, and per-entry metadata round-trip; entries beyond capacity
-  /// evict oldest-first exactly like live enqueues (the caller counts
-  /// LoadResult::evicted against its eviction metric). Later enqueue()
-  /// calls re-dedup against the restored entries. Throws PersistenceError
-  /// on a malformed line.
-  LoadResult load(std::istream& in);
+  /// Replaces the queue with the entries of a save() array. FIFO order,
+  /// dedup state, and per-entry metadata round-trip; entries beyond
+  /// capacity evict oldest-first exactly like live enqueues (the caller
+  /// counts LoadResult::evicted against its eviction metric). Later
+  /// enqueue() calls re-dedup against the restored entries. Throws
+  /// JsonError on a malformed entry, leaving the queue as it was.
+  LoadResult load(const Json& entries);
 
  private:
   OutboxConfig config_;

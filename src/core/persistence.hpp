@@ -1,8 +1,9 @@
 // JSONL persistence: one JSON document per line, append-friendly and
 // stream-based so it is storage-agnostic. It serves the raw logs a
 // deployment ships for offline analysis (GSM observations, visits, place
-// records, day profiles) and every section of a PMS checkpoint. Record
-// shapes come from core/codec; this layer only frames them as lines.
+// records, day profiles); a PMS checkpoint is one digested JSON document
+// instead (PmwareMobileService::save). Record shapes come from core/codec;
+// this layer only frames them as lines.
 #pragma once
 
 #include <istream>

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <istream>
 #include <optional>
-#include <sstream>
+#include <ostream>
 
 #include "core/codec.hpp"
-#include "core/persistence.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "telemetry/log.hpp"
@@ -58,16 +58,15 @@ constexpr const char* kGcaCacheName = "pms_gca";
 constexpr int kGcaCacheKey = 0;
 
 // --- Checkpoint wire format (Pms::save/restore) ---
-// A manifest line {"format","version","lines","digest"} followed by `lines`
-// JSONL lines of sectioned body: each section is a {"section","lines"} header
-// followed by that many payload lines. Most sections hold one codec record
-// per line; "gsm_log" is one observation-runs line (the discover body's
-// run-length form). The digest is fnv1a over the body bytes, so restore()
-// detects a torn or bit-flipped checkpoint before committing anything.
-// Version 1 wrote one {t, cell} line per GSM read; restore() rejects it like
-// any other unknown version, and the caller cold-restarts.
+// Two lines: a manifest {"format","version","digest"} and one body line, a
+// JSON object holding the service state under a key per part (scalars,
+// preferences, gsm_log, visit_log, places, ...), each value in its core/codec
+// shape. "gsm_log" is the discover body's run-length form. The digest is
+// fnv1a over the body line, so restore() detects a torn or bit-flipped
+// checkpoint before it parses anything. restore() rejects an older version
+// like any other unknown one, and the caller cold-restarts.
 constexpr const char* kCheckpointFormat = "pms-checkpoint";
-constexpr std::int64_t kCheckpointVersion = 2;
+constexpr std::int64_t kCheckpointVersion = 3;
 
 /// Decodes a 2xx response's body; nullopt when the request failed or the
 /// body is malformed, so the caller treats the exchange as failed instead
@@ -299,8 +298,8 @@ algorithms::GcaResult PmwareMobileService::offloaded_gca(
       upload_digest_ = graph_digest;
       counter(kGcaOffloads, "GCA clustering passes offloaded to the cloud")
           .inc();
-      // The cloud already recorded its own hit/recompute/miss for this
-      // round trip; device-side we only remember the result.
+      // An offloaded pass records no cache outcome; device-side we only
+      // remember the result.
       if (gca_cache_) gca_cache_->put(kGcaCacheKey, *result, graph_digest);
       return *std::move(result);
     }
@@ -313,9 +312,7 @@ algorithms::GcaResult PmwareMobileService::offloaded_gca(
   telemetry::Span span(telemetry::tracer(), "pms.gca_local", now);
   algorithms::GcaResult result = local_gca_.run(observations);
   if (gca_cache_) {
-    // A failed offload never reached the cloud handler (client-side loss
-    // and fault injection both fire before it), so recording the local
-    // outcome here cannot double-count against the cloud's taxonomy.
+    // Only passes clustered on the device count as a miss or a recompute.
     gca_cache_->record(had_cached ? cache::CacheOutcome::Recompute
                                   : cache::CacheOutcome::Miss);
     gca_cache_->put(kGcaCacheKey, result, graph_digest);
@@ -349,7 +346,7 @@ void PmwareMobileService::housekeeping(SimTime now) {
   // Refresh credentials next: the recluster below may offload to the cloud.
   maybe_refresh_token(now);
   engine_.recluster(now);
-  if (config_.cloud_sync && client_ != nullptr && user_id_) {
+  if (client_ != nullptr && user_id_) {
     const std::int64_t up_to = day_of(now) - (time_of_day(now) == 0 ? 1 : 0);
     enqueue_sync_work(up_to, now);
     drain_outbox(now);
@@ -766,26 +763,6 @@ bool PmwareMobileService::wipe_cloud_data(SimTime now) {
 }
 
 void PmwareMobileService::save(std::ostream& out) const {
-  const auto count_lines = [](const std::string& text) {
-    return static_cast<std::int64_t>(
-        std::count(text.begin(), text.end(), '\n'));
-  };
-  std::string body;
-  const auto emit_section = [&](const char* name, const std::string& payload) {
-    const Json header =
-        Json::Object{{"section", name}, {"lines", count_lines(payload)}};
-    body += header.dump() + '\n';
-    body += payload;
-  };
-  // One JSONL record per line; `encode` defaults to the record's codec.
-  const auto emit_records = [&emit_section](const char* name,
-                                            const auto& records,
-                                            const auto&... encode) {
-    std::ostringstream s;
-    write_jsonl(s, records, encode...);
-    emit_section(name, s.str());
-  };
-
   // Suffix-upload state (digest_fed .. upload_digest): the cloud retained
   // this device's GSM stream, so the restored incarnation can keep shipping
   // suffixes. If the cloud saw more than the checkpoint remembers (a
@@ -800,89 +777,64 @@ void PmwareMobileService::save(std::ostream& out) const {
       {"digest", hex64(digest_)},
       {"upload_acked", static_cast<std::uint64_t>(upload_acked_)},
       {"upload_digest", hex64(upload_digest_)}};
-  emit_section("scalars", scalars.dump() + "\n");
   Json caps = Json::array();
   for (const auto& [app, cap] : preferences_.caps())
     caps.push_back(Json::Object{{"app", app},
                                 {"cap", static_cast<std::int64_t>(cap)}});
   const Json preferences = Json::Object{
       {"sharing_enabled", preferences_.sharing_enabled()}, {"caps", caps}};
-  emit_section("preferences", preferences.dump() + "\n");
-  emit_section("gsm_log",
-               observation_runs_to_json(engine_.gsm_log()).dump() + "\n");
-  emit_records("visit_log", engine_.visit_log());
-  emit_records("places", place_store_.records(),
-               [](const auto& kv) { return to_json(kv.second); });
-  // Day profiles are not checkpointed: they are derived from the logs above
-  // (profile_for), and restore() skips the section in older checkpoints.
-  emit_records("route_log", engine_.route_log());
-  emit_records("route_store", engine_.routes().routes());
-  emit_records("encounters", engine_.encounter_log(),
-               [](const EncounterEvent& e) { return to_json(to_entry(e)); });
-  emit_records("activity", engine_.activity_log(), [](const auto& kv) {
-    Json j = to_json(kv.second);
-    j.set("day", kv.first);
-    return j;
-  });
-  std::ostringstream outbox;
-  outbox_.save(outbox);
-  emit_section("outbox", outbox.str());
-  emit_records("synced_days", synced_day_digest_, [](const auto& kv) {
-    return Json(Json::Object{{"day", kv.first}, {"digest", hex64(kv.second)}});
-  });
-  emit_records("synced_places", synced_place_digest_, [](const auto& kv) {
-    return Json(Json::Object{{"uid", kv.first}, {"digest", hex64(kv.second)}});
-  });
-
+  Json state = Json::Object{{"scalars", scalars}, {"preferences", preferences}};
+  state.set("gsm_log", observation_runs_to_json(engine_.gsm_log()));
+  state.set("visit_log", array_of(engine_.visit_log()));
+  state.set("places", array_of(place_store_.records(), [](const auto& kv) {
+              return to_json(kv.second);
+            }));
+  // Day profiles are not checkpointed: they are derived from the logs
+  // (profile_for).
+  state.set("route_log", array_of(engine_.route_log()));
+  state.set("route_store", array_of(engine_.routes().routes()));
+  state.set("encounters",
+            array_of(engine_.encounter_log(), [](const EncounterEvent& e) {
+              return to_json(to_entry(e));
+            }));
+  state.set("activity", array_of(engine_.activity_log(), [](const auto& kv) {
+              Json j = to_json(kv.second);
+              j.set("day", kv.first);
+              return j;
+            }));
+  state.set("outbox", outbox_.save());
+  state.set("synced_days", array_of(synced_day_digest_, [](const auto& kv) {
+              return Json(Json::Object{{"day", kv.first},
+                                       {"digest", hex64(kv.second)}});
+            }));
+  state.set("synced_places", array_of(synced_place_digest_, [](const auto& kv) {
+              return Json(Json::Object{{"uid", kv.first},
+                                       {"digest", hex64(kv.second)}});
+            }));
+  const std::string body = state.dump();
   const std::string head = Json(Json::Object{{"format", kCheckpointFormat},
                                              {"version", kCheckpointVersion},
-                                             {"lines", count_lines(body)},
                                              {"digest", hex64(fnv1a(body))}})
                                .dump();
-  out << head << '\n' << body;
+  out << head << '\n' << body << '\n';
   telemetry::registry()
       .histogram(kCheckpointBytes, {}, 0, 1 << 20, 64,
                  "serialized PMS checkpoint size in bytes")
-      .observe(static_cast<double>(head.size() + 1 + body.size()));
+      .observe(static_cast<double>(head.size() + body.size() + 2));
 }
 
 bool PmwareMobileService::restore(std::istream& in) {
   const auto wall_start = std::chrono::steady_clock::now();
-  std::string line;
-  if (!std::getline(in, line)) return false;
-  std::size_t expected_lines = 0;
-  std::uint64_t expected_digest = 0;
-  try {
-    const Json manifest = Json::parse(line);
-    if (manifest.get_string("format", "") != kCheckpointFormat) return false;
-    if (manifest.get_int("version", 0) != kCheckpointVersion) return false;
-    const std::int64_t lines = manifest.get_int("lines", -1);
-    if (lines < 0) return false;
-    expected_lines = static_cast<std::size_t>(lines);
-    expected_digest = hex64_from_json(manifest.at("digest"));
-  } catch (const JsonError&) {
+  // save() ends the body with a newline. getline() would accept a body
+  // whose final '\n' was torn off (the bytes are identical), so the missing
+  // delimiter itself — eofbit raised mid-line — is the truncation signal.
+  std::string head;
+  std::string text;
+  if (!std::getline(in, head) || !std::getline(in, text) || in.eof())
     return false;
-  }
-  // A short read (torn checkpoint) or a digest mismatch (bit rot, a torn
-  // final line) both fail before anything is touched.
-  // No reserve: `lines` in the manifest is not verified until the digest.
-  std::vector<std::string> lines;
-  std::string payload;
-  while (lines.size() < expected_lines && std::getline(in, line)) {
-    payload += line;
-    payload += '\n';
-    lines.push_back(std::move(line));
-  }
-  if (lines.size() < expected_lines) return false;
-  // save() always terminates the body with a newline; getline() would
-  // happily heal a checkpoint whose final '\n' was torn off (the rebuilt
-  // payload is byte-identical), so the missing delimiter itself — eofbit
-  // raised mid-line — is the truncation signal.
-  if (expected_lines > 0 && in.eof()) return false;
-  if (fnv1a(payload) != expected_digest) return false;
 
-  // Decode every section into temporaries; nothing below commits until all
-  // of them decoded.
+  // Decode everything into temporaries; nothing below commits until all of
+  // it decoded.
   InferenceEngine::LogSnapshot snapshot;
   std::vector<PlaceRecord> places;
   struct {
@@ -902,99 +854,61 @@ bool PmwareMobileService::restore(std::istream& in) {
   std::map<std::int64_t, std::uint64_t> synced_days;
   std::map<PlaceUid, std::uint64_t> synced_places;
   try {
-    std::size_t i = 0;
-    while (i < lines.size()) {
-      const Json header = Json::parse(lines[i++]);
-      const std::string name = header.get_string("section", "");
-      const std::int64_t declared = header.get_int("lines", -1);
-      if (declared < 0 ||
-          static_cast<std::size_t>(declared) > lines.size() - i)
+    // A torn or bit-flipped checkpoint fails the digest before the body is
+    // even parsed.
+    const Json manifest = Json::parse(head);
+    if (manifest.get_string("format", "") != kCheckpointFormat ||
+        manifest.get_int("version", 0) != kCheckpointVersion ||
+        hex64_from_json(manifest.at("digest")) != fnv1a(text))
+      return false;
+    const Json body = Json::parse(text);
+
+    const Json& s = body.at("scalars");
+    const auto count = [&s](const char* key, std::int64_t fallback) {
+      const std::int64_t n = s.get_int(key, fallback);
+      if (n < 0) throw JsonError(std::string("negative ") + key);
+      return static_cast<std::size_t>(n);
+    };
+    scalars = {.registration_wanted = s.get_bool("registration_wanted", false),
+               .next_uid = count("next_uid", 1),
+               .routes_enqueued = count("routes_enqueued", 0),
+               .encounters_enqueued = count("encounters_enqueued", 0),
+               .digest_fed = count("digest_fed", 0),
+               .digest = hex64_from_json(s.at("digest")),
+               .upload_acked = count("upload_acked", 0),
+               .upload_digest = hex64_from_json(s.at("upload_digest"))};
+    const Json& prefs = body.at("preferences");
+    sharing = prefs.get_bool("sharing_enabled", true);
+    for (const auto& c : prefs.at("caps").as_array()) {
+      const std::int64_t cap = c.at("cap").as_int();
+      if (cap < static_cast<std::int64_t>(Granularity::Area) ||
+          cap > static_cast<std::int64_t>(Granularity::Room))
         return false;
-      std::string chunk;
-      for (const std::size_t end = i + static_cast<std::size_t>(declared);
-           i < end; ++i) {
-        chunk += lines[i];
-        chunk += '\n';
-      }
-      std::istringstream section(chunk);
-      const auto decode = [&section](const auto& decoder) {
-        return read_jsonl(section, decoder);
-      };
-      if (name == "scalars" || name == "preferences") {
-        const auto records = decode([](const Json& j) { return j; });
-        if (records.size() != 1) return false;
-        const Json& j = records.front();
-        if (name == "scalars") {
-          // Read every field here, so a malformed one fails before commit.
-          const auto count = [&j](const char* key, std::int64_t fallback) {
-            const std::int64_t n = j.get_int(key, fallback);
-            if (n < 0) throw JsonError(std::string("negative ") + key);
-            return static_cast<std::size_t>(n);
-          };
-          scalars = {
-              .registration_wanted = j.get_bool("registration_wanted", false),
-              .next_uid = count("next_uid", 1),
-              .routes_enqueued = count("routes_enqueued", 0),
-              .encounters_enqueued = count("encounters_enqueued", 0),
-              .digest_fed = count("digest_fed", 0),
-              .digest = hex64_from_json(j.at("digest")),
-              .upload_acked = count("upload_acked", 0),
-              .upload_digest = hex64_from_json(j.at("upload_digest"))};
-        } else {
-          sharing = j.get_bool("sharing_enabled", true);
-          if (j.contains("caps")) {
-            for (const auto& c : j.at("caps").as_array()) {
-              const std::int64_t cap = c.at("cap").as_int();
-              if (cap < static_cast<std::int64_t>(Granularity::Area) ||
-                  cap > static_cast<std::int64_t>(Granularity::Room))
-                return false;
-              caps.emplace_back(c.at("app").as_string(),
-                                static_cast<Granularity>(cap));
-            }
-          }
-        }
-      } else if (name == "gsm_log") {
-        auto logs = decode(observation_runs_from_json);
-        if (declared != 1 || logs.size() != 1) return false;
-        snapshot.gsm_log = std::move(logs.front());
-      } else if (name == "visit_log") {
-        snapshot.visit_log = decode(logged_visit_from_json);
-      } else if (name == "places") {
-        places = decode(place_record_from_json);
-      } else if (name == "route_log") {
-        snapshot.route_log = decode(route_event_from_json);
-      } else if (name == "route_store") {
-        snapshot.routes = decode(canonical_route_from_json);
-      } else if (name == "encounters") {
-        for (const EncounterEntry& e : decode(encounter_from_json))
-          snapshot.encounter_log.push_back(
-              {e.contact, e.place, TimeWindow{e.start, e.end}});
-      } else if (name == "activity") {
-        for (auto& [day, summary] : decode([](const Json& j) {
-               return std::pair(j.at("day").as_int(), activity_from_json(j));
-             }))
-          snapshot.activity_by_day[day] = summary;
-      } else if (name == "outbox") {
-        outbox_result = staged_outbox.load(section);
-      } else if (name == "synced_days") {
-        for (const auto& [day, d] : decode([](const Json& j) {
-               return std::pair(j.at("day").as_int(),
-                                hex64_from_json(j.at("digest")));
-             }))
-          synced_days[day] = d;
-      } else if (name == "synced_places") {
-        for (const auto& [uid, d] : decode([](const Json& j) {
-               return std::pair(j.at("uid").as_int(),
-                                hex64_from_json(j.at("digest")));
-             }))
-          synced_places[static_cast<PlaceUid>(uid)] = d;
-      }
-      // Unknown sections — and "profiles", a derived product that older
-      // checkpoints carry — skip silently (forward compatibility).
+      caps.emplace_back(c.at("app").as_string(), static_cast<Granularity>(cap));
     }
+
+    snapshot.gsm_log = observation_runs_from_json(body.at("gsm_log"));
+    snapshot.visit_log =
+        array_at<LoggedVisit>(body, "visit_log", logged_visit_from_json);
+    places = array_at<PlaceRecord>(body, "places", place_record_from_json);
+    snapshot.route_log =
+        array_at<RouteEvent>(body, "route_log", route_event_from_json);
+    snapshot.routes = array_at<algorithms::CanonicalRoute>(
+        body, "route_store", canonical_route_from_json);
+    for (const auto& e : body.at("encounters").as_array()) {
+      const EncounterEntry entry = encounter_from_json(e);
+      snapshot.encounter_log.push_back(
+          {entry.contact, entry.place, TimeWindow{entry.start, entry.end}});
+    }
+    for (const auto& j : body.at("activity").as_array())
+      snapshot.activity_by_day[j.at("day").as_int()] = activity_from_json(j);
+    outbox_result = staged_outbox.load(body.at("outbox"));
+    for (const auto& j : body.at("synced_days").as_array())
+      synced_days[j.at("day").as_int()] = hex64_from_json(j.at("digest"));
+    for (const auto& j : body.at("synced_places").as_array())
+      synced_places[static_cast<PlaceUid>(j.at("uid").as_int())] =
+          hex64_from_json(j.at("digest"));
   } catch (const JsonError&) {
-    return false;
-  } catch (const PersistenceError&) {
     return false;
   }
 
@@ -1100,7 +1014,7 @@ std::size_t PmwareMobileService::discard_pending() {
 void PmwareMobileService::shutdown(SimTime now) {
   engine_.flush(now);
   housekeeping(now);
-  if (config_.cloud_sync && client_ != nullptr && user_id_) {
+  if (client_ != nullptr && user_id_) {
     // The final day may be partial (housekeeping above only covered
     // completed days); queue it plus anything still parked, and drain.
     enqueue_sync_work(day_of(now), now);

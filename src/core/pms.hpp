@@ -37,8 +37,6 @@ struct PmsConfig {
   /// Offload GCA clustering to the cloud (paper §2.3.1); falls back to the
   /// local implementation when the cloud is unreachable.
   bool offload_gca = true;
-  /// Sync profiles/places to the cloud during housekeeping.
-  bool cloud_sync = true;
   /// Content-addressed GCA offload cache: remember the clustering result
   /// for the current movement-graph digest, so a recluster over an
   /// unchanged graph neither re-sends the graph nor re-runs GCA (results
@@ -122,14 +120,14 @@ class PmwareMobileService {
 
   /// Serializes the complete checkpointable device state — GSM/visit logs,
   /// place store, route/encounter/activity logs, preferences, the sync
-  /// outbox, and the sync high-water marks — as sectioned JSONL led by
-  /// a manifest line carrying a line count and content digest, so restore()
-  /// can tell a torn checkpoint from a whole one.
+  /// outbox, and the sync high-water marks — as one JSON object line led
+  /// by a manifest line carrying its digest, so restore() can tell a torn
+  /// checkpoint from a whole one.
   void save(std::ostream& out) const;
 
   /// Rebuilds device state from a checkpoint written by save(). All-or-
   /// nothing: state is parsed into temporaries and committed only if the
-  /// manifest digest matches and every section decodes, so a torn or
+  /// manifest digest matches and every part of the body decodes, so a torn or
   /// corrupted checkpoint returns false and leaves the (fresh) service
   /// untouched — the caller falls back to cold_restart(). The caller must
   /// still register_with_cloud() afterwards: tokens are not checkpointed and

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -69,15 +70,40 @@ std::string checkpoint_of(const PmwareMobileService& pms) {
   return out.str();
 }
 
-/// `body` under `checkpoint`'s manifest, with the line count and digest
-/// recomputed to cover it: a checkpoint that passes every framing check.
-std::string reframed(const std::string& checkpoint, const std::string& body) {
-  Json manifest = Json::parse(checkpoint.substr(0, checkpoint.find('\n')));
-  manifest.set("lines", static_cast<std::int64_t>(
-                            std::count(body.begin(), body.end(), '\n')));
-  manifest.set("digest", hex64(cache::fnv1a(body)));
-  return manifest.dump() + "\n" + body;
+/// `checkpoint` with the value under `key` in its body object passed
+/// through `edit`, and the manifest digest recomputed to cover the new body:
+/// a checkpoint that passes every framing check, so only the edited value
+/// can fail the restore.
+std::string edited(const std::string& checkpoint, const char* key,
+                   const std::function<void(Json&)>& edit) {
+  const std::size_t eol = checkpoint.find('\n');
+  Json manifest = Json::parse(checkpoint.substr(0, eol));
+  Json body = Json::parse(
+      checkpoint.substr(eol + 1, checkpoint.size() - eol - 2));
+  Json value = body.at(key);
+  edit(value);
+  body.set(key, std::move(value));
+  const std::string text = body.dump();
+  manifest.set("digest", hex64(cache::fnv1a(text)));
+  return manifest.dump() + "\n" + text + "\n";
 }
+
+/// What a rejected restore must leave as it was.
+struct LiveState {
+  explicit LiveState(const PmwareMobileService& pms)
+      : reads(pms.inference().gsm_log().size()),
+        digest(movement_digest(pms.inference().gsm_log())),
+        visits(pms.inference().visit_log().size()),
+        places(pms.places().records().size()),
+        registered(pms.registered()) {}
+  bool operator==(const LiveState&) const = default;
+
+  std::size_t reads;
+  std::uint64_t digest;
+  std::size_t visits;
+  std::size_t places;
+  bool registered;
+};
 
 TEST(Lifecycle, CheckpointRoundTripRestoresState) {
   LifecycleHarness h(2);
@@ -134,7 +160,7 @@ TEST(Lifecycle, CheckpointRoundTripRestoresState) {
   EXPECT_EQ(pms2->boot_epoch(), 2u);
 }
 
-// The GSM log is one run-length line, so a checkpoint grows with the
+// The GSM log is one run-length object, so a checkpoint grows with the
 // number of cell changes, not with the number of one-minute reads.
 TEST(Lifecycle, CheckpointStaysUnder96KiBAfterTenDays) {
   LifecycleHarness h(10);
@@ -163,84 +189,22 @@ TEST(Lifecycle, RestoreDetectsTornCheckpoint) {
   auto pms3 = h.boot(29);
   std::istringstream garbage("hello world\nnot a checkpoint\n");
   EXPECT_FALSE(pms3->restore(garbage));
-}
 
-// Day profiles are derived from the logs, so save() no longer writes them.
-// Checkpoints from before that change still carry a "profiles" section;
-// restore() skips it like any section it does not know.
-TEST(Lifecycle, CheckpointWithProfilesSectionRestores) {
-  LifecycleHarness h(1);
-  auto pms1 = h.boot();
-  ASSERT_TRUE(pms1->register_with_cloud(0));
-  pms1->run(TimeWindow{0, days(1)});
-  const std::string checkpoint = checkpoint_of(*pms1);
-  EXPECT_EQ(checkpoint.find(R"("section":"profiles")"), std::string::npos);
-  const MobilityProfile profile = pms1->profile_for(0);
-  ASSERT_FALSE(profile.empty());
-
-  // Re-frame the body with a profiles section appended.
-  Json header = Json::object();
-  header.set("section", "profiles");
-  header.set("lines", 1);
-  const std::string body = checkpoint.substr(checkpoint.find('\n') + 1) +
-                           header.dump() + "\n" + to_json(profile).dump() +
-                           "\n";
-
-  auto pms2 = h.boot(19);
-  std::istringstream in(reframed(checkpoint, body));
-  ASSERT_TRUE(pms2->restore(in));
-  ASSERT_EQ(pms2->inference().visit_log().size(),
-            pms1->inference().visit_log().size());
-  EXPECT_EQ(pms2->profile_for(0).places.size(), profile.places.size());
-}
-
-/// `checkpoint` with the payload of section `name` replaced by `payload`
-/// (one string per line), re-framed so only the section's content can fail.
-std::string with_section(const std::string& checkpoint, const char* name,
-                         const std::vector<std::string>& payload) {
-  std::istringstream lines(checkpoint.substr(checkpoint.find('\n') + 1));
-  std::string body;
-  std::string line;
-  while (std::getline(lines, line)) {
-    Json header = Json::parse(line);
-    std::int64_t count = header.at("lines").as_int();
-    const bool replaced = header.at("section").as_string() == name;
-    if (replaced)
-      header.set("lines", static_cast<std::int64_t>(payload.size()));
-    body += header.dump() + "\n";
-    for (; count > 0 && std::getline(lines, line); --count)
-      if (!replaced) body += line + "\n";
-    if (replaced)
-      for (const std::string& p : payload) body += p + "\n";
+  // An intact body under a manifest of the sectioned version 2, or with a
+  // digest that is not hex, fails without touching the live service.
+  const std::size_t eol = checkpoint.find('\n');
+  const Json manifest = Json::parse(checkpoint.substr(0, eol));
+  Json version2 = manifest;
+  version2.set("version", 2);
+  Json not_hex = manifest;
+  not_hex.set("digest", "not-a-digest");
+  const LiveState before(*pms1);
+  for (const Json& head : {version2, not_hex}) {
+    std::istringstream in(head.dump() + checkpoint.substr(eol));
+    EXPECT_FALSE(pms1->restore(in)) << head.dump();
+    EXPECT_TRUE(LiveState(*pms1) == before);
   }
-  return reframed(checkpoint, body);
 }
-
-/// The first payload line of section `name` in `checkpoint`.
-std::string section_line(const std::string& checkpoint,
-                         const std::string& name) {
-  const std::size_t at = checkpoint.find(R"("section":")" + name + '"');
-  if (at == std::string::npos) return {};
-  const std::size_t begin = checkpoint.find('\n', at) + 1;
-  return checkpoint.substr(begin, checkpoint.find('\n', begin) - begin);
-}
-
-/// What a rejected restore must leave as it was.
-struct LiveState {
-  explicit LiveState(const PmwareMobileService& pms)
-      : reads(pms.inference().gsm_log().size()),
-        digest(movement_digest(pms.inference().gsm_log())),
-        visits(pms.inference().visit_log().size()),
-        places(pms.places().records().size()),
-        registered(pms.registered()) {}
-  bool operator==(const LiveState&) const = default;
-
-  std::size_t reads;
-  std::uint64_t digest;
-  std::size_t visits;
-  std::size_t places;
-  bool registered;
-};
 
 TEST(Lifecycle, HostileGsmRunsSectionIsRejectedWithoutCommitting) {
   LifecycleHarness h(2);
@@ -252,47 +216,43 @@ TEST(Lifecycle, HostileGsmRunsSectionIsRejectedWithoutCommitting) {
   pms->run(TimeWindow{days(1), days(2)});
   const LiveState day2(*pms);
 
-  // Control: the same re-framing with the section's own line restores, so
+  // Control: re-digesting the body with the GSM log as it was restores, so
   // each rejection below is the run-length decoder's, not the framing's.
-  const std::string own_line = section_line(good, "gsm_log");
-  ASSERT_FALSE(own_line.empty());
   {
     auto fresh = h.boot(53);
-    std::istringstream in(with_section(good, "gsm_log", {own_line}));
+    std::istringstream in(edited(good, "gsm_log", [](Json&) {}));
     ASSERT_TRUE(fresh->restore(in));
     EXPECT_FALSE(fresh->inference().gsm_log().empty());
   }
 
-  const auto runs_line = [&cell](Json::Array runs) {
-    Json j = Json::object();
-    j.set("cells", Json(Json::Array{cell}));
-    j.set("runs", Json(std::move(runs)));
-    return j.dump();
+  const auto runs = [&cell](Json::Array encoded) {
+    return [&cell, encoded](Json& log) {
+      log = Json::object();
+      log.set("cells", Json(Json::Array{cell}));
+      log.set("runs", Json(encoded));
+    };
   };
   const std::int64_t cap = static_cast<std::int64_t>(kMaxExpandedObservations);
   const struct {
     const char* what;
-    std::vector<std::string> payload;
+    std::function<void(Json&)> edit;
   } kCases[] = {
-      {"count 0", {runs_line({0, 60, 0, 0})}},
-      {"cell index outside the dictionary", {runs_line({0, 60, 2, 1})}},
-      {"runs length not a multiple of 4", {runs_line({0, 60, 2})}},
-      {"total of 2^22+1", {runs_line({0, 1, cap + 1, 0})}},
-      {"negative period", {runs_line({0, -60, 2, 0})}},
-      {"two lines", {own_line, own_line}},
-      {"the line plus an empty one", {own_line, ""}},
-      {"no line", {}},
+      {"count 0", runs({0, 60, 0, 0})},
+      {"cell index outside the dictionary", runs({0, 60, 2, 1})},
+      {"runs length not a multiple of 4", runs({0, 60, 2})},
+      {"total of 2^22+1", runs({0, 1, cap + 1, 0})},
+      {"negative period", runs({0, -60, 2, 0})},
   };
   for (const auto& c : kCases) {
     SCOPED_TRACE(c.what);
-    std::istringstream in(with_section(good, "gsm_log", c.payload));
+    std::istringstream in(edited(good, "gsm_log", c.edit));
     EXPECT_FALSE(pms->restore(in));
     // The live service keeps its day-2 state.
     EXPECT_TRUE(LiveState(*pms) == day2);
   }
 }
 
-// The same for the scalars and preferences sections: a cap outside
+// The same for the scalars and preferences values: a cap outside
 // Area..Room, or a count that is negative, not an integer, or past 2^53,
 // fails the restore before anything commits.
 TEST(Lifecycle, HostileScalarsAndCapsAreRejectedWithoutCommitting) {
@@ -304,72 +264,46 @@ TEST(Lifecycle, HostileScalarsAndCapsAreRejectedWithoutCommitting) {
   pms->run(TimeWindow{days(1), days(2)});
   const LiveState day2(*pms);
 
-  const auto caps_line = [](Json cap) {
-    Json c = Json::object();
-    c.set("app", "placeads");
-    c.set("cap", std::move(cap));
-    Json j = Json::object();
-    j.set("sharing_enabled", true);
-    j.set("caps", Json(Json::Array{std::move(c)}));
-    return j.dump();
+  const auto with_cap = [](Json cap) {
+    return [cap](Json& preferences) {
+      Json c = Json::object();
+      c.set("app", "placeads");
+      c.set("cap", cap);
+      preferences.set("caps", Json(Json::Array{std::move(c)}));
+    };
   };
-  const Json scalars = Json::parse(section_line(good, "scalars"));
-  const auto scalars_line = [&scalars](const char* key, Json value) {
-    Json j = scalars;
-    j.set(key, std::move(value));
-    return j.dump();
+  const auto with_scalar = [](const char* key, Json value) {
+    return [key, value](Json& scalars) { scalars.set(key, value); };
   };
   // Control: Room, the finest cap, restores.
   {
     auto fresh = h.boot(53);
-    std::istringstream in(
-        with_section(good, "preferences", {caps_line(Json(2))}));
+    std::istringstream in(edited(good, "preferences", with_cap(Json(2))));
     ASSERT_TRUE(fresh->restore(in));
     EXPECT_EQ(fresh->preferences().app_cap("placeads"), Granularity::Room);
   }
 
   const struct {
     const char* what;
-    const char* section;
-    std::string line;
+    const char* key;
+    std::function<void(Json&)> edit;
   } kCases[] = {
-      {"cap 7", "preferences", caps_line(Json(7))},
-      {"cap -1", "preferences", caps_line(Json(-1))},
-      {"cap 1.5", "preferences", caps_line(Json(1.5))},
-      {"next_uid 1.5", "scalars", scalars_line("next_uid", Json(1.5))},
+      {"cap 7", "preferences", with_cap(Json(7))},
+      {"cap -1", "preferences", with_cap(Json(-1))},
+      {"cap 1.5", "preferences", with_cap(Json(1.5))},
+      {"next_uid 1.5", "scalars", with_scalar("next_uid", Json(1.5))},
       {"negative routes_enqueued", "scalars",
-       scalars_line("routes_enqueued", Json(-1))},
+       with_scalar("routes_enqueued", Json(-1))},
       {"upload_acked of 2^53", "scalars",
-       scalars_line("upload_acked", Json(std::int64_t{1} << 53))},
+       with_scalar("upload_acked", Json(std::int64_t{1} << 53))},
   };
   for (const auto& c : kCases) {
     SCOPED_TRACE(c.what);
-    std::istringstream in(with_section(good, c.section, {c.line}));
+    std::istringstream in(edited(good, c.key, c.edit));
     EXPECT_FALSE(pms->restore(in));
     EXPECT_TRUE(LiveState(*pms) == day2);
     EXPECT_FALSE(pms->preferences().app_cap("placeads").has_value());
   }
-}
-
-// The manifest's line count is read before the digest can vouch for it,
-// so a forged count must fail the read, not size an allocation.
-TEST(Lifecycle, HugeManifestLineCountIsRejectedWithoutThrowing) {
-  LifecycleHarness h(2);
-  auto pms = h.boot();
-  ASSERT_TRUE(pms->register_with_cloud(0));
-  pms->run(TimeWindow{0, days(1)});
-  const std::string good = checkpoint_of(*pms);
-  pms->run(TimeWindow{days(1), days(2)});
-  const LiveState day2(*pms);
-
-  const std::size_t eol = good.find('\n');
-  Json manifest = Json::parse(good.substr(0, eol));
-  manifest.set("lines", std::int64_t{1} << 50);
-  std::istringstream in(manifest.dump() + good.substr(eol));
-  bool restored = true;
-  EXPECT_NO_THROW(restored = pms->restore(in));
-  EXPECT_FALSE(restored);
-  EXPECT_TRUE(LiveState(*pms) == day2);
 }
 
 TEST(Lifecycle, AnySingleByteCorruptionIsDetected) {
@@ -453,10 +387,8 @@ TEST(Lifecycle, OutboxSaveLoadRoundTripPreservesEntries) {
   // Fail one drain so attempts round-trips too.
   outbox.drain([](const OutboxEntry&) { return false; });
 
-  std::stringstream stream;
-  outbox.save(stream);
   SyncOutbox loaded;
-  const auto result = loaded.load(stream);
+  const auto result = loaded.load(outbox.save());
   EXPECT_EQ(result.loaded, 5u);
   EXPECT_EQ(result.evicted, 0u);
   ASSERT_EQ(loaded.size(), outbox.size());
@@ -476,11 +408,8 @@ TEST(Lifecycle, OutboxLoadEvictsOldestBeyondCapacity) {
   SyncOutbox big;
   for (std::uint64_t day = 0; day < 6; ++day)
     big.enqueue(SyncKind::ProfileDay, day, 0, static_cast<SimTime>(day), 1);
-  std::stringstream stream;
-  big.save(stream);
-
   SyncOutbox small(OutboxConfig{4});
-  const auto result = small.load(stream);
+  const auto result = small.load(big.save());
   EXPECT_EQ(result.loaded, 4u);
   EXPECT_EQ(result.evicted, 2u);
   ASSERT_EQ(small.size(), 4u);
