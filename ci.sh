@@ -64,7 +64,8 @@ echo "test names stable"
 echo "=== golden study digest (telemetry fully enabled) ==="
 golden_digest="$(cat tests/golden/study_digest.txt)"
 actual_digest="$(./build/examples/studyctl --participants 4 --days 3 \
-    --threads 2 --shards 4 --progress 2>/dev/null |
+    --threads 2 --shards 4 --progress --report build/study_report.json \
+    2>/dev/null |
   sed -n 's/^cloud content digest: //p')"
 if [[ "${actual_digest}" != "${golden_digest}" ]]; then
   echo "golden digest mismatch: got '${actual_digest}'," \
@@ -81,7 +82,8 @@ echo "=== golden study digest (device chaos plan) ==="
 crash_plan="crash=0d..2d,crash_rate=0.5,restart_delay=2h;wipe=1d..2d,wipe_rate=0.5;join=0d..2d,join_rate=0.5"
 crash_golden="$(cat tests/golden/study_digest_crash.txt)"
 actual_digest="$(./build/examples/studyctl --participants 4 --days 3 \
-    --threads 2 --shards 4 --fault-plan "${crash_plan}" 2>/dev/null |
+    --threads 2 --shards 4 --fault-plan "${crash_plan}" \
+    --report build/study_report_crash.json 2>/dev/null |
   sed -n 's/^cloud content digest: //p')"
 if [[ "${actual_digest}" != "${crash_golden}" ]]; then
   echo "crashed-study digest mismatch: got '${actual_digest}'," \

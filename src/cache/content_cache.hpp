@@ -21,12 +21,10 @@
 // coherence").
 //
 // Thread-safety: all operations take the cache's internal mutex; V is
-// copied out under it. The eviction hook runs under the lock and must not
-// re-enter the cache.
+// copied out under it.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
 #include <mutex>
@@ -62,8 +60,7 @@ class ContentCache {
   };
 
   /// Looks up `key` against the current input digest `version`. A digest
-  /// mismatch drops the entry (running the eviction hook) and reports
-  /// stale. Hits refresh LRU recency.
+  /// mismatch drops the entry and reports stale. Hits refresh LRU recency.
   Lookup lookup(const K& key, std::uint64_t version) {
     const std::scoped_lock lock(mu_);
     const auto it = map_.find(key);
@@ -97,26 +94,6 @@ class ContentCache {
     }
   }
 
-  /// Drops one entry (no-op when absent); runs the eviction hook.
-  void invalidate(const K& key) {
-    const std::scoped_lock lock(mu_);
-    const auto it = map_.find(key);
-    if (it != map_.end()) drop_locked(it);
-  }
-
-  void clear() {
-    const std::scoped_lock lock(mu_);
-    while (!map_.empty()) drop_locked(map_.begin());
-  }
-
-  /// Called (under the cache lock) whenever an entry leaves the cache —
-  /// capacity eviction, staleness drop, invalidate, clear. Must not
-  /// re-enter the cache.
-  void set_eviction_hook(std::function<void(const K&, const V&)> hook) {
-    const std::scoped_lock lock(mu_);
-    on_evict_ = std::move(hook);
-  }
-
   std::size_t size() const {
     const std::scoped_lock lock(mu_);
     return map_.size();
@@ -136,7 +113,6 @@ class ContentCache {
 
   /// Caller holds mu_.
   void drop_locked(typename std::map<K, Entry>::iterator it) {
-    if (on_evict_) on_evict_(it->first, it->second.value);
     lru_.erase(it->second.lru_it);
     map_.erase(it);
   }
@@ -146,7 +122,6 @@ class ContentCache {
   std::size_t capacity_;
   std::list<K> lru_;  ///< front = most recently used
   std::map<K, Entry> map_;
-  std::function<void(const K&, const V&)> on_evict_;
 };
 
 }  // namespace pmware::cache

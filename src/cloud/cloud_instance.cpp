@@ -1,7 +1,6 @@
 #include "cloud/cloud_instance.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdlib>
 
@@ -20,25 +19,13 @@ namespace pmware::cloud {
 using net::HttpRequest;
 using net::HttpResponse;
 using net::PathParams;
+using net::decimal;
 
 namespace {
 
 /// Metric-series name of the cloud-side analytics cache.
 constexpr const char* kAnalyticsCacheName = "cloud_analytics";
 constexpr std::size_t kAnalyticsCacheCapacity = 1024;
-
-/// A path parameter or query value that must be a decimal number fitting in
-/// T. An empty string, a sign, any other non-digit and overflow are the
-/// client's error: JsonError, which the router answers with a 400.
-template <typename T>
-T decimal(const std::string& text, const char* name) {
-  T value{};
-  const char* last = text.data() + text.size();
-  const auto [end, ec] = std::from_chars(text.data(), last, value);
-  if (text.starts_with('-') || ec != std::errc() || end != last)
-    throw JsonError(std::string("bad ") + name + ": '" + text + "'");
-  return value;
-}
 
 /// The ":name" path parameter, parsed by decimal().
 template <typename T>
@@ -98,7 +85,7 @@ CloudInstance::CloudInstance(CloudConfig config, GeoLocationService geoloc,
     }
   });
   // Scripted server-side chaos (outages, error rates, latency): evaluated
-  // by the router before guards and handlers, so injected failures never
+  // by the router before the handler, so injected failures never
   // mutate state. The plan's decisions are deterministic per request
   // (net/fault.hpp), keeping faulted studies reproducible across thread
   // and shard counts.

@@ -237,9 +237,9 @@ class InferenceEngine {
   // --- hot-loop scratch & pre-resolved telemetry handles ---
   sensing::GsmReading gsm_scratch_;
   sensing::WifiScan wifi_scratch_;
-  telemetry::CachedCounter events_enter_;
-  telemetry::CachedCounter events_exit_;
-  telemetry::CachedCounter events_new_place_;
+  telemetry::CounterHandle events_enter_;
+  telemetry::CounterHandle events_exit_;
+  telemetry::CounterHandle events_new_place_;
 
   // --- WiFi state ---
   algorithms::WifiPlaceDetector wifi_detector_;

@@ -6,6 +6,7 @@
 #include <optional>
 #include <ostream>
 
+#include "cache/content_cache.hpp"
 #include "core/codec.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -45,17 +46,13 @@ constexpr const char* kFailureKinds[] = {"profile", "place", "place_delete",
                                          "route",   "encounter", "label",
                                          "wipe"};
 
-// Digest primitives (dirty detection, offload cache keys) come from the
+// Digest primitives (dirty detection, offload memo keys) come from the
 // cache subsystem so device and cloud derive identical values.
 using cache::fnv1a;
-using cache::fold;
 constexpr std::uint64_t kDigestBasis = cache::kDigestBasis;
 
-/// Metric-series name of every PMS-side GCA offload cache.
+/// cache_outcomes_total series of the PMS-side GCA offload memo.
 constexpr const char* kGcaCacheName = "pms_gca";
-/// The offload cache holds one entry — the result for the current movement
-/// graph; any growth of the graph changes the digest and recomputes.
-constexpr int kGcaCacheKey = 0;
 
 // --- Checkpoint wire format (Pms::save/restore) ---
 // Two lines: a manifest {"format","version","digest"} and one body line, a
@@ -66,7 +63,7 @@ constexpr int kGcaCacheKey = 0;
 // checkpoint before it parses anything. restore() rejects an older version
 // like any other unknown one, and the caller cold-restarts.
 constexpr const char* kCheckpointFormat = "pms-checkpoint";
-constexpr std::int64_t kCheckpointVersion = 3;
+constexpr std::int64_t kCheckpointVersion = 4;
 
 /// Decodes a 2xx response's body; nullopt when the request failed or the
 /// body is malformed, so the caller treats the exchange as failed instead
@@ -105,7 +102,6 @@ PmwareMobileService::PmwareMobileService(
       client_(std::move(client)),
       instance_(telemetry::registry().next_instance_label("pms")),
       outbox_(config_.outbox) {
-  if (config_.cache) gca_cache_.emplace(kGcaCacheName, 1);
   place_events_counter_.emplace(kPlaceEvents,
                                 telemetry::LabelSet{{"instance", instance_}},
                                 "place events delivered to connected apps");
@@ -180,7 +176,7 @@ net::HttpRequest PmwareMobileService::make_request(net::Method method,
   net::HttpRequest request;
   request.method = method;
   request.path = std::move(path);
-  request.headers["X-Sim-Time"] = std::to_string(now);
+  request.headers[net::kSimTimeHeader] = std::to_string(now);
   // Stamp the registration session so the cloud can fence writes from
   // incarnations that predate a privacy wipe (tombstones, DESIGN.md
   // "Failure model & recovery").
@@ -255,15 +251,10 @@ algorithms::GcaResult PmwareMobileService::offloaded_gca(
 
   // Content-addressed elision: an unchanged movement graph means an
   // identical clustering result (local, offloaded, or replayed — all equal
-  // by design), so serve it from the cache without touching the wire.
-  bool had_cached = false;
-  if (gca_cache_) {
-    auto found = gca_cache_->lookup(kGcaCacheKey, graph_digest);
-    if (found.value) {
-      gca_cache_->record(cache::CacheOutcome::LocalHit);
-      return *std::move(found.value);
-    }
-    had_cached = found.stale;
+  // by design), so serve the remembered one without touching the wire.
+  if (config_.cache && gca_memo_ && gca_memo_->first == graph_digest) {
+    cache::record_outcome(kGcaCacheName, cache::CacheOutcome::LocalHit);
+    return gca_memo_->second;
   }
   if (config_.offload_gca && client_ != nullptr && user_id_) {
     telemetry::Span span(telemetry::tracer(), "pms.gca_offload", now);
@@ -300,7 +291,7 @@ algorithms::GcaResult PmwareMobileService::offloaded_gca(
           .inc();
       // An offloaded pass records no cache outcome; device-side we only
       // remember the result.
-      if (gca_cache_) gca_cache_->put(kGcaCacheKey, *result, graph_digest);
+      if (config_.cache) gca_memo_.emplace(graph_digest, *result);
       return *std::move(result);
     }
     telemetry::slog_warn("pms", now,
@@ -311,11 +302,12 @@ algorithms::GcaResult PmwareMobileService::offloaded_gca(
   counter(kGcaLocal, "GCA clustering passes run on-device").inc();
   telemetry::Span span(telemetry::tracer(), "pms.gca_local", now);
   algorithms::GcaResult result = local_gca_.run(observations);
-  if (gca_cache_) {
+  if (config_.cache) {
     // Only passes clustered on the device count as a miss or a recompute.
-    gca_cache_->record(had_cached ? cache::CacheOutcome::Recompute
-                                  : cache::CacheOutcome::Miss);
-    gca_cache_->put(kGcaCacheKey, result, graph_digest);
+    cache::record_outcome(kGcaCacheName, gca_memo_
+                                             ? cache::CacheOutcome::Recompute
+                                             : cache::CacheOutcome::Miss);
+    gca_memo_.emplace(graph_digest, result);
   }
   return result;
 }
@@ -355,17 +347,17 @@ void PmwareMobileService::housekeeping(SimTime now) {
 
 void PmwareMobileService::enqueue_sync_work(std::int64_t up_to, SimTime now) {
   // Dirty profile days. Each recluster can refine earlier days' visit logs,
-  // so completed days are re-checked — but only days whose content digest
-  // actually changed are re-PUT, not every day from 0 (the digests come
-  // from one pass over the logs, so a steady-state tick costs O(logs),
-  // not O(days * logs)).
-  day_digest_cache_ = day_digests(up_to);
-  for (std::int64_t day = 0; day <= up_to; ++day) {
-    const auto& [digest, any] = day_digest_cache_[static_cast<std::size_t>(day)];
-    if (!any) continue;  // empty profile: nothing to PUT (matches old skip)
-    const auto it = synced_day_digest_.find(day);
+  // so completed days are re-checked — but only days whose PUT body changed
+  // are re-sent (the profiles come from one pass over the logs, so a
+  // steady-state tick costs O(logs), not O(days * logs)). Empty days are
+  // never PUT, so a cold-restarted device cannot blank the cloud's copy.
+  for (const MobilityProfile& profile : day_profiles(0, up_to)) {
+    if (profile.empty()) continue;
+    const std::uint64_t digest = fnv1a(to_json(profile).dump());
+    const auto it = synced_day_digest_.find(profile.day);
     if (it != synced_day_digest_.end() && it->second == digest) continue;
-    enqueue(SyncKind::ProfileDay, static_cast<std::uint64_t>(day), 0, now);
+    enqueue(SyncKind::ProfileDay, static_cast<std::uint64_t>(profile.day), 0,
+            now);
   }
 
   // Dirty place records (signatures may have shifted after recluster, the
@@ -475,21 +467,16 @@ PmwareMobileService::DeliverOutcome PmwareMobileService::deliver(
           net::Method::Put, strfmt("/api/users/%u/profiles/%lld", *user_id_,
                                    static_cast<long long>(day)));
       request.body = to_json(profile);
+      const std::uint64_t digest = fnv1a(request.body.dump());
       const DeliverOutcome outcome = verdict(client_->send(request));
-      if (outcome == DeliverOutcome::Gone &&
-          static_cast<std::size_t>(day) < day_digest_cache_.size()) {
-        // Honor the wipe: content the cloud refused under its pre-wipe
-        // session must not be re-uploaded under the fresh one, so pin the
-        // day's digest as synced. Only a genuinely new refinement of the
-        // day (digest change) syncs again.
-        synced_day_digest_[day] =
-            day_digest_cache_[static_cast<std::size_t>(day)].first;
-      }
-      if (outcome != DeliverOutcome::Delivered) return outcome;
+      if (outcome == DeliverOutcome::Failed) return outcome;
+      // Honor the wipe: content the cloud refused under its pre-wipe session
+      // must not be re-uploaded under the fresh one, so a 410 pins the body
+      // as synced too. Only a genuinely new refinement of the day syncs
+      // again.
+      synced_day_digest_[day] = digest;
+      if (outcome == DeliverOutcome::Gone) return outcome;
       counter(kProfileSyncs, "mobility-profile days synced to the cloud").inc();
-      if (static_cast<std::size_t>(day) < day_digest_cache_.size())
-        synced_day_digest_[day] =
-            day_digest_cache_[static_cast<std::size_t>(day)].first;
       return DeliverOutcome::Delivered;
     }
     case SyncKind::PlaceUpsert: {
@@ -514,8 +501,7 @@ PmwareMobileService::DeliverOutcome PmwareMobileService::deliver(
       if (outcome == DeliverOutcome::Failed ||
           (outcome == DeliverOutcome::Delivered && !echo))
         return DeliverOutcome::Failed;
-      // Same wipe-honoring pin as ProfileDay: a tombstoned upsert stays
-      // "synced" so the fresh session never resurrects it.
+      // Same wipe-honoring pin as ProfileDay.
       synced_place_digest_[uid] = digest;
       if (outcome == DeliverOutcome::Gone) return outcome;
       // Cache the echoed resolution (geofencing and the map UI need
@@ -599,100 +585,54 @@ void PmwareMobileService::record_sync_failure(SyncKind kind, int status,
                        outbox_.size());
 }
 
-std::vector<std::pair<std::uint64_t, bool>> PmwareMobileService::day_digests(
-    std::int64_t up_to) const {
-  std::vector<std::pair<std::uint64_t, bool>> digests(
-      up_to < 0 ? 0 : static_cast<std::size_t>(up_to) + 1,
-      {kDigestBasis, false});
-  if (digests.empty()) return digests;
-  // One pass over each log, folding every entry into the digests of the
-  // days it contributes to — the same inclusion rules as profile_for():
+std::vector<MobilityProfile> PmwareMobileService::day_profiles(
+    std::int64_t first, std::int64_t last) const {
+  std::vector<MobilityProfile> profiles;
+  for (std::int64_t i = 0; i <= last - first; ++i) {
+    MobilityProfile& profile = profiles.emplace_back();
+    profile.user = user_id_.value_or(0);
+    profile.day = first + i;
+    profile.activity = engine_.activity_for(profile.day);
+  }
+  // One pass over each log, binning every entry into the days it touches:
   // visits clamp to the day and must meet the dwell minimum; routes and
   // encounters contribute their unclamped windows to every day they
   // overlap. Day windows are half-open, so an event's last touched day is
   // day_of(end - 1) — except zero-length windows, which overlaps() counts
   // on their single day.
-  const auto touched_days = [&](const TimeWindow& w,
-                                const auto& per_day) {
-    const std::int64_t first = std::max<std::int64_t>(0, day_of(w.begin));
-    const std::int64_t last =
-        std::min(up_to, day_of(std::max(w.end - 1, w.begin)));
-    for (std::int64_t day = first; day <= last; ++day)
-      per_day(day, TimeWindow{start_of_day(day), start_of_day(day + 1)});
+  const auto touched_days = [&](const TimeWindow& w, const auto& per_day) {
+    const std::int64_t to =
+        std::min(last, day_of(std::max(w.end - 1, w.begin)));
+    for (std::int64_t day = std::max(first, day_of(w.begin)); day <= to; ++day)
+      per_day(profiles[static_cast<std::size_t>(day - first)],
+              TimeWindow{start_of_day(day), start_of_day(day + 1)});
   };
   for (const auto& visit : engine_.visit_log()) {
-    touched_days(visit.window, [&](std::int64_t day, const TimeWindow& dw) {
+    touched_days(visit.window, [&](MobilityProfile& p, const TimeWindow& dw) {
       if (visit.window.overlap_length(dw) < config_.inference.min_visit_dwell)
         return;
-      auto& [h, any] = digests[static_cast<std::size_t>(day)];
-      fold(h, 1);  // domain tag: visit
-      fold(h, static_cast<std::uint64_t>(visit.uid));
-      fold(h, static_cast<std::uint64_t>(std::max(visit.window.begin, dw.begin)));
-      fold(h, static_cast<std::uint64_t>(std::min(visit.window.end, dw.end)));
-      any = true;
+      p.places.push_back({visit.uid, std::max(visit.window.begin, dw.begin),
+                          std::min(visit.window.end, dw.end)});
     });
   }
   for (const auto& route : engine_.route_log()) {
-    touched_days(route.window, [&](std::int64_t day, const TimeWindow& dw) {
+    touched_days(route.window, [&](MobilityProfile& p, const TimeWindow& dw) {
       if (!route.window.overlaps(dw)) return;
-      auto& [h, any] = digests[static_cast<std::size_t>(day)];
-      fold(h, 2);  // domain tag: route
-      fold(h, static_cast<std::uint64_t>(route.route_uid));
-      fold(h, static_cast<std::uint64_t>(route.window.begin));
-      fold(h, static_cast<std::uint64_t>(route.window.end));
-      any = true;
+      p.routes.push_back({route.route_uid, route.window.begin,
+                          route.window.end});
     });
   }
   for (const auto& enc : engine_.encounter_log()) {
-    touched_days(enc.window, [&](std::int64_t day, const TimeWindow& dw) {
+    touched_days(enc.window, [&](MobilityProfile& p, const TimeWindow& dw) {
       if (!enc.window.overlaps(dw)) return;
-      auto& [h, any] = digests[static_cast<std::size_t>(day)];
-      fold(h, 3);  // domain tag: encounter
-      fold(h, static_cast<std::uint64_t>(enc.contact));
-      fold(h, static_cast<std::uint64_t>(enc.place));
-      fold(h, static_cast<std::uint64_t>(enc.window.begin));
-      fold(h, static_cast<std::uint64_t>(enc.window.end));
-      any = true;
+      p.encounters.push_back(to_entry(enc));
     });
   }
-  for (std::int64_t day = 0; day <= up_to; ++day) {
-    const ActivitySummary activity = engine_.activity_for(day);
-    if (activity.empty()) continue;
-    auto& [h, any] = digests[static_cast<std::size_t>(day)];
-    fold(h, 4);  // domain tag: activity
-    fold(h, static_cast<std::uint64_t>(activity.still));
-    fold(h, static_cast<std::uint64_t>(activity.walking));
-    fold(h, static_cast<std::uint64_t>(activity.vehicle));
-    any = true;
-  }
-  return digests;
+  return profiles;
 }
 
 MobilityProfile PmwareMobileService::profile_for(std::int64_t day) const {
-  MobilityProfile profile;
-  profile.user = user_id_.value_or(0);
-  profile.day = day;
-  const TimeWindow day_window{start_of_day(day), start_of_day(day + 1)};
-
-  for (const auto& visit : engine_.visit_log()) {
-    const SimDuration overlap = visit.window.overlap_length(day_window);
-    if (overlap < config_.inference.min_visit_dwell) continue;
-    profile.places.push_back(
-        {visit.uid, std::max(visit.window.begin, day_window.begin),
-         std::min(visit.window.end, day_window.end)});
-  }
-  for (const auto& route : engine_.route_log()) {
-    if (!route.window.overlaps(day_window)) continue;
-    profile.routes.push_back({route.route_uid, route.window.begin,
-                              route.window.end});
-  }
-  for (const auto& enc : engine_.encounter_log()) {
-    if (!enc.window.overlaps(day_window)) continue;
-    profile.encounters.push_back({enc.contact, enc.place, enc.window.begin,
-                                  enc.window.end});
-  }
-  profile.activity = engine_.activity_for(day);
-  return profile;
+  return std::move(day_profiles(day, day).front());
 }
 
 bool PmwareMobileService::tag_place(PlaceUid uid, const std::string& label,
@@ -938,7 +878,6 @@ bool PmwareMobileService::restore(std::istream& in) {
   upload_digest_ = scalars.upload_digest;
   synced_day_digest_ = std::move(synced_days);
   synced_place_digest_ = std::move(synced_places);
-  day_digest_cache_.clear();
 
   telemetry::registry()
       .counter(kRestarts, {{"instance", instance_}, {"mode", "warm"}},

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "cache/content_cache.hpp"
 #include "cache/digest.hpp"
 #include "core/connected_apps.hpp"
 #include "core/inference_engine.hpp"
@@ -189,7 +188,7 @@ class PmwareMobileService {
 
   // --- Fault-tolerant sync pipeline (DESIGN.md "Failure model & recovery").
   /// Detects dirty state (changed profile days / place records, new routes
-  /// and encounters) and queues it; refreshes day_digest_cache_.
+  /// and encounters) and queues it.
   void enqueue_sync_work(std::int64_t up_to, SimTime now);
   /// Enqueue with eviction/telemetry bookkeeping.
   void enqueue(SyncKind kind, std::uint64_t key, std::uint64_t key2,
@@ -205,10 +204,10 @@ class PmwareMobileService {
   /// sent).
   DeliverOutcome deliver(const OutboxEntry& entry, SimTime now, int& status);
   void record_sync_failure(SyncKind kind, int status, SimTime now);
-  /// Per-day content digests for days [0, up_to], one pass over the logs;
-  /// .second is false for days whose profile would be empty.
-  std::vector<std::pair<std::uint64_t, bool>> day_digests(
-      std::int64_t up_to) const;
+  /// The mobility profiles of days [first, last], binned in one pass over
+  /// the logs: the single rule deciding which log entries belong to a day.
+  std::vector<MobilityProfile> day_profiles(std::int64_t first,
+                                            std::int64_t last) const;
 
   PmsConfig config_;
   std::unique_ptr<sensing::Device> device_;
@@ -222,24 +221,24 @@ class PmwareMobileService {
   /// Incremental clustering state for local (offload-disabled or offload-
   /// failed) GCA passes; fed the engine's append-only GSM log each pass.
   algorithms::GcaState local_gca_;
-  /// Engaged iff config_.cache: the last GCA result, versioned by the
-  /// movement-graph digest (core::movement_digest).
-  std::optional<cache::ContentCache<int, algorithms::GcaResult>> gca_cache_;
+  /// Used iff config_.cache: the last GCA result and the movement-graph
+  /// digest it was clustered from.
+  std::optional<std::pair<std::uint64_t, algorithms::GcaResult>> gca_memo_;
   std::unique_ptr<net::RestClient> client_;
   std::string instance_;  ///< registry label isolating this service's series
 
   // Pre-resolved delivery counters: the event sinks fire inside the sensing
   // hot loop, so no per-event LabelSet build or registry lookup. Engaged in
   // the constructor body once instance_ is known.
-  std::optional<telemetry::CachedCounter> place_events_counter_;
-  std::optional<telemetry::CachedCounter> route_events_counter_;
-  std::optional<telemetry::CachedCounter> encounters_counter_;
+  std::optional<telemetry::CounterHandle> place_events_counter_;
+  std::optional<telemetry::CounterHandle> route_events_counter_;
+  std::optional<telemetry::CounterHandle> encounters_counter_;
   // Same treatment for the per-work-item outbox counters (enqueue and drain
   // loop over entries every housekeeping tick).
-  std::optional<telemetry::CachedCounter> outbox_enqueued_counter_;
-  std::optional<telemetry::CachedCounter> outbox_evicted_counter_;
-  std::optional<telemetry::CachedCounter> outbox_delivered_counter_;
-  std::optional<telemetry::CachedCounter> outbox_recovered_counter_;
+  std::optional<telemetry::CounterHandle> outbox_enqueued_counter_;
+  std::optional<telemetry::CounterHandle> outbox_evicted_counter_;
+  std::optional<telemetry::CounterHandle> outbox_delivered_counter_;
+  std::optional<telemetry::CounterHandle> outbox_recovered_counter_;
 
   std::optional<world::DeviceId> user_id_;
   SimTime token_expires_ = 0;
@@ -268,13 +267,10 @@ class PmwareMobileService {
   SyncOutbox outbox_;
   std::size_t routes_enqueued_ = 0;      ///< route_log entries queued so far
   std::size_t encounters_enqueued_ = 0;  ///< encounter_log entries queued
-  /// Content digest of each day's profile / place record as last
-  /// successfully PUT; differences drive re-sync (replaces the old
-  /// "re-PUT everything from day 0 every tick" loop).
+  /// Digest of the exact body last PUT for each profile day / place record
+  /// (or refused with 410 Gone); a body that digests differently is dirty.
   std::map<std::int64_t, std::uint64_t> synced_day_digest_;
   std::map<PlaceUid, std::uint64_t> synced_place_digest_;
-  /// Refreshed by enqueue_sync_work each tick; deliver() records from it.
-  std::vector<std::pair<std::uint64_t, bool>> day_digest_cache_;
 };
 
 }  // namespace pmware::core

@@ -5,7 +5,8 @@
 // tokens, retries, offloading — is exercised for real.
 #pragma once
 
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
 #include <map>
 #include <string>
 
@@ -42,6 +43,19 @@ inline constexpr const char* kIfNoneMatchHeader = "If-None-Match";
 /// Absent means session 0 — blocked after any wipe.
 inline constexpr const char* kSessionHeader = "X-PMWare-Session";
 
+/// A header, path parameter or query value that must be a decimal number
+/// fitting in T. An empty string, a sign, any other non-digit and overflow
+/// are the client's error: JsonError, which the router answers with a 400.
+template <typename T>
+T decimal(const std::string& text, const char* name) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (text.starts_with('-') || ec != std::errc() || end != last)
+    throw JsonError(std::string("bad ") + name + ": '" + text + "'");
+  return value;
+}
+
 struct HttpRequest {
   Method method = Method::Get;
   std::string path;                          ///< e.g. "/api/places/discover"
@@ -54,10 +68,12 @@ struct HttpRequest {
     return *this;
   }
 
-  /// Simulation time as reported by the caller (0 if absent).
+  /// Simulation time as reported by the caller (0 if absent); JsonError when
+  /// the header is present but not a decimal() SimTime.
   SimTime sim_time() const {
     const auto it = headers.find(kSimTimeHeader);
-    return it == headers.end() ? 0 : std::atoll(it->second.c_str());
+    return it == headers.end() ? 0
+                               : decimal<SimTime>(it->second, kSimTimeHeader);
   }
 
   /// Stamps the trace-context headers from `ctx`; no-op when invalid.
@@ -68,17 +84,18 @@ struct HttpRequest {
   }
 
   /// Parses the trace-context headers; invalid (default) context when the
-  /// request carries none.
+  /// request carries none or either is not a decimal(): tracing never fails
+  /// a request.
   telemetry::TraceContext trace_context() const {
-    telemetry::TraceContext ctx;
     const auto trace = headers.find(kTraceIdHeader);
     const auto parent = headers.find(kParentSpanHeader);
-    if (trace == headers.end() || parent == headers.end()) return ctx;
-    ctx.trace_id = static_cast<std::uint64_t>(
-        std::strtoull(trace->second.c_str(), nullptr, 10));
-    ctx.span_id = static_cast<std::size_t>(
-        std::strtoull(parent->second.c_str(), nullptr, 10));
-    return ctx;
+    if (trace == headers.end() || parent == headers.end()) return {};
+    try {
+      return {decimal<std::uint64_t>(trace->second, kTraceIdHeader),
+              decimal<std::size_t>(parent->second, kParentSpanHeader)};
+    } catch (const JsonError&) {
+      return {};
+    }
   }
 };
 

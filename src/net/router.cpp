@@ -51,11 +51,6 @@ void Router::add_route(Method method, const std::string& pattern,
       {method, pattern, std::move(segments), params, std::move(handler)});
 }
 
-void Router::add_middleware(Middleware mw,
-                            std::vector<std::string> exempt_prefixes) {
-  guards_.push_back({std::move(mw), std::move(exempt_prefixes)});
-}
-
 bool Router::match(const Route& route, const std::vector<std::string>& segments,
                    PathParams& params) {
   if (route.segments.size() != segments.size()) return false;
@@ -96,10 +91,21 @@ HttpResponse Router::handle(const HttpRequest& request) const {
     observer_(request.method, pattern, status, wall_us);
   };
 
+  // Everything below reads the caller's clock (the fault injector rolls on
+  // it, handlers stamp writes with it), so a present-but-malformed
+  // X-Sim-Time is refused before any of it runs.
+  SimTime sim_now = 0;
+  try {
+    sim_now = request.sim_time();
+  } catch (const JsonError& e) {
+    observe("<bad-request>", kStatusBadRequest);
+    return HttpResponse::error(kStatusBadRequest, e.what());
+  }
+
   // The fault injector models a failure in front of the service (load
-  // balancer, network partition), so it runs before auth guards and
-  // handlers: an injected failure guarantees no server-side state changed,
-  // which is what makes client retries and outbox replay safe.
+  // balancer, network partition), so it runs before the handler: an
+  // injected failure guarantees no server-side state changed, which is what
+  // makes client retries and outbox replay safe.
   SimDuration added_latency_s = 0;
   if (fault_injector_) {
     FaultOutcome outcome = fault_injector_(request);
@@ -108,22 +114,6 @@ HttpResponse Router::handle(const HttpRequest& request) const {
       outcome.reject->sim_latency_s = added_latency_s;
       observe("<fault>", outcome.reject->status);
       return *std::move(outcome.reject);
-    }
-  }
-
-  for (const Guard& guard : guards_) {
-    bool exempt = false;
-    for (const std::string& prefix : guard.exempt_prefixes) {
-      if (request.path.rfind(prefix, 0) == 0) {
-        exempt = true;
-        break;
-      }
-    }
-    if (exempt) continue;
-    if (auto response = guard.mw(request)) {
-      response->sim_latency_s = added_latency_s;
-      observe("<middleware>", response->status);
-      return *response;
     }
   }
 
@@ -152,7 +142,6 @@ HttpResponse Router::handle(const HttpRequest& request) const {
     // router directly) record no span. The span covers the handler only;
     // routing overhead stays in the observer's wall_us.
     const telemetry::TraceContext ctx = request.trace_context();
-    const SimTime sim_now = request.sim_time();
     std::optional<telemetry::Span> span;
     if (ctx.valid())
       span.emplace(telemetry::tracer(), "cloud." + best->pattern, sim_now, ctx);

@@ -4,7 +4,6 @@
 
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,20 +17,16 @@ using PathParams = std::map<std::string, std::string>;
 
 using Handler = std::function<HttpResponse(const HttpRequest&, const PathParams&)>;
 
-/// A middleware may short-circuit (return a response) or pass (return
-/// nullopt) — used for the cloud's auth check.
-using Middleware = std::function<std::optional<HttpResponse>(const HttpRequest&)>;
-
 /// Called once per dispatched request with the matched route pattern (the
 /// registration string, so ":id" not the concrete id — bounded metric
 /// cardinality), the response status, and the wall-clock handler cost.
-/// Pattern is "<unmatched>" for 404s and "<middleware>" when a middleware
-/// short-circuited before routing.
+/// Pattern is "<unmatched>" for 404s, "<bad-request>" for a malformed
+/// X-Sim-Time header and "<fault>" for an injected failure.
 using Observer = std::function<void(Method method, const std::string& pattern,
                                     int status, double wall_us)>;
 
 /// Decides per request whether to inject a failure or added latency before
-/// any guard or handler runs (an injected failure means the handler never
+/// the handler runs (an injected failure means the handler never
 /// executed). Must be deterministic and thread-safe; see net/fault.hpp.
 using FaultInjector = std::function<FaultOutcome(const HttpRequest&)>;
 
@@ -41,10 +36,6 @@ class Router {
   /// starting with ':' capture the corresponding request segment,
   /// e.g. "/api/users/:id/places".
   void add_route(Method method, const std::string& pattern, Handler handler);
-
-  /// Adds a middleware run (in registration order) before every route whose
-  /// path does NOT start with one of `exempt_prefixes`.
-  void add_middleware(Middleware mw, std::vector<std::string> exempt_prefixes = {});
 
   /// Installs the per-request observer (telemetry); replaces any previous.
   void set_observer(Observer observer) { observer_ = std::move(observer); }
@@ -56,7 +47,9 @@ class Router {
     fault_injector_ = std::move(injector);
   }
 
-  /// Dispatches a request; 404 when no route matches.
+  /// Dispatches a request; 404 when no route matches, 400 before anything
+  /// else runs when the X-Sim-Time header is present but not a decimal
+  /// SimTime.
   ///
   /// Matching rules:
   ///  * a single trailing slash is tolerated ("/metrics/" == "/metrics");
@@ -74,8 +67,8 @@ class Router {
   /// to the observer.
   ///
   /// handle() itself takes no lock and is safe to call concurrently: the
-  /// route/middleware tables are immutable after single-threaded setup
-  /// (add_route/add_middleware must not race handle()), and synchronization
+  /// route table is immutable after single-threaded setup (add_route must
+  /// not race handle()), and synchronization
   /// of shared backend state is the handlers' job — the cloud instance
   /// routes each request to its per-user shard lock (DESIGN.md
   /// "Concurrency model").
@@ -91,10 +84,6 @@ class Router {
     std::size_t params;                 ///< ':' captures, for specificity
     Handler handler;
   };
-  struct Guard {
-    Middleware mw;
-    std::vector<std::string> exempt_prefixes;
-  };
 
   static std::vector<std::string> split(const std::string& path);
   static bool match(const Route& route, const std::vector<std::string>& segments,
@@ -104,7 +93,6 @@ class Router {
                                     const char* what);
 
   std::vector<Route> routes_;
-  std::vector<Guard> guards_;
   Observer observer_;
   FaultInjector fault_injector_;
 };

@@ -18,10 +18,10 @@ telemetry::LabelSet interface_labels(energy::Interface interface) {
   return {{"interface", energy::to_string(interface)}};
 }
 
-std::array<telemetry::CachedCounter, energy::kInterfaceCount> sample_counters(
+std::array<telemetry::CounterHandle, energy::kInterfaceCount> sample_counters(
     const char* name, const char* help) {
   const auto make = [&](std::size_t i) {
-    return telemetry::CachedCounter(
+    return telemetry::CounterHandle(
         name, interface_labels(static_cast<energy::Interface>(i)), help);
   };
   return {make(0), make(1), make(2), make(3), make(4)};

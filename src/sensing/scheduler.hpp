@@ -150,8 +150,8 @@ class SamplingScheduler {
   // Pre-resolved per-interface sample/one-shot counters: the hot loop does
   // one relaxed atomic add per dispatch instead of a LabelSet build + a
   // locked registry lookup per sample.
-  std::array<telemetry::CachedCounter, energy::kInterfaceCount> samples_total_;
-  std::array<telemetry::CachedCounter, energy::kInterfaceCount> one_shots_total_;
+  std::array<telemetry::CounterHandle, energy::kInterfaceCount> samples_total_;
+  std::array<telemetry::CounterHandle, energy::kInterfaceCount> one_shots_total_;
 };
 
 }  // namespace pmware::sensing

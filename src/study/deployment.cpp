@@ -87,27 +87,6 @@ void diary_session(core::PmwareMobileService& pms, const world::World& world,
   }
 }
 
-/// Accumulates one incarnation's counter view into a participant's
-/// cross-incarnation total. outbox_pending is queue state, not a counter:
-/// a torn-down incarnation's pending entries were already accounted as
-/// dropped, so only a live incarnation contributes pending.
-void fold_stats(core::PmsStats& into, const core::PmsStats& s, bool dead) {
-  into.place_events_delivered += s.place_events_delivered;
-  into.route_events_delivered += s.route_events_delivered;
-  into.encounters_delivered += s.encounters_delivered;
-  into.profile_syncs += s.profile_syncs;
-  into.token_refreshes += s.token_refreshes;
-  into.gca_offloads += s.gca_offloads;
-  into.gca_local_runs += s.gca_local_runs;
-  into.sync_failures += s.sync_failures;
-  into.outbox_enqueued += s.outbox_enqueued;
-  into.outbox_delivered += s.outbox_delivered;
-  into.outbox_recovered += s.outbox_recovered;
-  into.outbox_evicted += s.outbox_evicted;
-  into.outbox_dropped += s.outbox_dropped;
-  into.outbox_pending = dead ? 0 : s.outbox_pending;
-}
-
 }  // namespace
 
 ParticipantResult DeploymentStudy::run_participant(
@@ -143,9 +122,8 @@ ParticipantResult DeploymentStudy::run_participant(
   std::optional<apps::LifeLog> lifelog;
   std::optional<apps::PlaceAds> placeads;
 
-  // Cross-incarnation accumulators: counters from torn-down incarnations
-  // fold in here; the final live incarnation is folded at evaluation.
-  core::PmsStats stats_acc;
+  // Cross-incarnation accumulators: torn-down incarnations fold in here;
+  // the final live incarnation is added at evaluation.
   double joules_acc = 0.0;
   double total_joules_acc = 0.0;  ///< sensing + baseline, for battery life
   std::size_t likes_acc = 0, dislikes_acc = 0;
@@ -201,7 +179,6 @@ ParticipantResult DeploymentStudy::run_participant(
   const auto teardown = [&](bool crashed) {
     if (!pms) return;
     if (crashed) pms->discard_pending();
-    fold_stats(stats_acc, pms->stats(), /*dead=*/true);
     joules_acc += pms->meter().sensing_j();
     total_joules_acc += pms->meter().total_j();
     if (placeads) {
@@ -326,8 +303,6 @@ ParticipantResult DeploymentStudy::run_participant(
       power_w > 0
           ? energy::battery_duration_s(energy::Battery{}, power_w) / 3600.0
           : 0.0;
-  fold_stats(stats_acc, pms->stats(), /*dead=*/false);
-  result.pms_stats = stats_acc;
 
   auto& reg = telemetry::registry();
   reg.counter("study_places_discovered_total", {},

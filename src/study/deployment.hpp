@@ -107,7 +107,6 @@ struct ParticipantResult {
   std::size_t ad_dislikes = 0;
   double sensing_joules = 0;
   double implied_battery_hours = 0;
-  core::PmsStats pms_stats;
 };
 
 /// Commutatively folded aggregate of ParticipantResults — what the

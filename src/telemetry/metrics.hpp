@@ -451,8 +451,4 @@ class HistogramHandle : public MetricHandle<HistogramMetric, HistogramHandle> {
   std::size_t bucket_count_;
 };
 
-/// PR 7 name for the pre-resolved counter handle; kept for existing call
-/// sites (scheduler, inference engine, PMS outbox counters).
-using CachedCounter = CounterHandle;
-
 }  // namespace pmware::telemetry

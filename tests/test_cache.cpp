@@ -74,22 +74,6 @@ TEST(ContentCache, PutReplacesValueAndVersionInPlace) {
   EXPECT_EQ(cache.lookup(1, 2).value, "new");
 }
 
-TEST(ContentCache, EvictionHookSeesEveryDeparture) {
-  cache::ContentCache<int, int> cache("t", 2);
-  std::vector<int> evicted;
-  cache.set_eviction_hook([&](const int& k, const int&) {
-    evicted.push_back(k);
-  });
-  cache.put(1, 10, 0);
-  cache.put(2, 20, 0);
-  cache.put(3, 30, 0);          // capacity eviction of 1
-  cache.lookup(2, 99);          // staleness drop of 2
-  cache.invalidate(3);          // explicit
-  cache.put(4, 40, 0);
-  cache.clear();                // remaining 4
-  EXPECT_EQ(evicted, (std::vector<int>{1, 2, 3, 4}));
-}
-
 TEST(ContentCache, CapacityZeroClampsToOne) {
   cache::ContentCache<int, int> cache("t", 0);
   EXPECT_EQ(cache.capacity(), 1u);

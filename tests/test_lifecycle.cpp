@@ -190,16 +190,19 @@ TEST(Lifecycle, RestoreDetectsTornCheckpoint) {
   std::istringstream garbage("hello world\nnot a checkpoint\n");
   EXPECT_FALSE(pms3->restore(garbage));
 
-  // An intact body under a manifest of the sectioned version 2, or with a
-  // digest that is not hex, fails without touching the live service.
+  // An intact body under a manifest of the sectioned version 2, of version
+  // 3 (whose synced_days digests were not body digests), or with a digest
+  // that is not hex, fails without touching the live service.
   const std::size_t eol = checkpoint.find('\n');
   const Json manifest = Json::parse(checkpoint.substr(0, eol));
   Json version2 = manifest;
   version2.set("version", 2);
+  Json version3 = manifest;
+  version3.set("version", 3);
   Json not_hex = manifest;
   not_hex.set("digest", "not-a-digest");
   const LiveState before(*pms1);
-  for (const Json& head : {version2, not_hex}) {
+  for (const Json& head : {version2, version3, not_hex}) {
     std::istringstream in(head.dump() + checkpoint.substr(eol));
     EXPECT_FALSE(pms1->restore(in)) << head.dump();
     EXPECT_TRUE(LiveState(*pms1) == before);

@@ -170,33 +170,6 @@ TEST(Router, PostBodyRoundTrips) {
   EXPECT_EQ(response.body, request.body);
 }
 
-TEST(Router, MiddlewareShortCircuits) {
-  Router router;
-  fill_echo_router(router);
-  router.add_middleware([](const HttpRequest& req) -> std::optional<HttpResponse> {
-    if (req.headers.count("Authorization")) return std::nullopt;
-    return HttpResponse::error(kStatusUnauthorized, "no token");
-  });
-  HttpRequest request{Method::Get, "/ping", {}, {}, {}};
-  EXPECT_EQ(router.handle(request).status, kStatusUnauthorized);
-  request.with_header("Authorization", "Bearer x");
-  EXPECT_TRUE(router.handle(request).ok());
-}
-
-TEST(Router, MiddlewareExemptPrefixes) {
-  Router router;
-  fill_echo_router(router);
-  router.add_middleware(
-      [](const HttpRequest&) -> std::optional<HttpResponse> {
-        return HttpResponse::error(kStatusUnauthorized, "always deny");
-      },
-      {"/ping"});
-  HttpRequest ping{Method::Get, "/ping", {}, {}, {}};
-  EXPECT_TRUE(router.handle(ping).ok());
-  HttpRequest other{Method::Get, "/users/1/places/2", {}, {}, {}};
-  EXPECT_EQ(router.handle(other).status, kStatusUnauthorized);
-}
-
 TEST(Client, DeliversAndCountsRequests) {
   Router router;
   fill_echo_router(router);

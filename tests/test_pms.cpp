@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "cloud/cloud_instance.hpp"
+#include "core/codec.hpp"
 #include "mobility/participant.hpp"
 #include "mobility/schedule.hpp"
 
@@ -119,6 +120,43 @@ TEST(Pms, ProfilesSyncToCloud) {
     EXPECT_EQ(remote.places[i].place, local.places[i].place);
     EXPECT_EQ(remote.places[i].arrival, local.places[i].arrival);
   }
+}
+
+// "Synced" means the cloud holds the exact bytes the PMS would PUT now: the
+// day's dirtiness is the digest of that body, so once the final sync drained
+// every cloud profile equals the local one and an idle tick re-sends
+// nothing.
+TEST(Pms, CloudProfilesEqualLocalBodiesAndIdleTickSendsNothing) {
+  PmsHarness h(3);
+  h.pms->register_with_cloud(0);
+  h.pms->run(TimeWindow{0, days(3)});
+  h.pms->shutdown(days(3));
+  const auto* user_store = h.cloud->storage().find_user(1);
+  ASSERT_NE(user_store, nullptr);
+  ASSERT_GE(user_store->profiles.size(), 3u);
+  for (std::int64_t day = 0; day <= 3; ++day) {
+    const MobilityProfile local = h.pms->profile_for(day);
+    const auto remote = user_store->profiles.find(day);
+    if (local.empty()) {
+      EXPECT_EQ(remote, user_store->profiles.end()) << day;
+      continue;
+    }
+    ASSERT_NE(remote, user_store->profiles.end()) << day;
+    EXPECT_EQ(to_json(remote->second), to_json(local)) << day;
+  }
+  EXPECT_TRUE(h.pms->outbox().empty());
+
+  const auto discovers = [] {
+    return telemetry::registry().counter_value(
+        "cloud_requests_total", {{"method", "POST"},
+                                 {"route", "/api/places/discover"},
+                                 {"status", "200"}});
+  };
+  const std::size_t syncs = h.pms->stats().profile_syncs;
+  const std::uint64_t discovers_before = discovers();
+  h.pms->shutdown(days(3));
+  EXPECT_EQ(h.pms->stats().profile_syncs, syncs);
+  EXPECT_EQ(discovers(), discovers_before);
 }
 
 TEST(Pms, PlaceRecordsSyncWithResolvedLocations) {

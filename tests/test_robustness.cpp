@@ -574,6 +574,61 @@ TEST(TotalDecoding, MalformedSessionHeaderGetsFourHundredAndChangesNothing) {
   }
 }
 
+// A sim-time header that is not a decimal SimTime is refused before the
+// fault injector or any handler runs. Parsed with atoll, "abc" and "" read
+// as 0 and "12x" as 12, so the write was applied at the wrong time.
+TEST(TotalDecoding, MalformedSimTimeHeaderGetsFourHundredAndChangesNothing) {
+  const world::CellId cell{404, 20, 202, 2000, world::Radio::Gsm2G};
+  core::PlaceRecord record;
+  record.uid = 9;
+  record.signature = algorithms::CellSignature{{cell}};
+  std::vector<algorithms::CellObservation> observations;
+  for (int m = 0; m < 90; ++m)
+    observations.push_back({hours(2) + minutes(m), cell});
+  const struct {
+    net::Method method;
+    const char* path;
+    Json body;
+  } probes[] = {
+      {net::Method::Put, "/api/users/1/places/9", core::to_json(record)},
+      {net::Method::Post, "/api/places/discover",
+       core::discover_request_to_json(observations, std::nullopt)},
+  };
+  for (const auto& probe : probes) {
+    {
+      // Control: with a well-formed clock the request is served (and the
+      // PUT changes the content digest, so the checks below can bite).
+      SeededCloud seeded;
+      const std::uint64_t before = seeded.digest();
+      EXPECT_TRUE(seeded.send(probe.method, probe.path, probe.body).ok());
+      if (probe.method == net::Method::Put) {
+        EXPECT_NE(seeded.digest(), before);
+      }
+    }
+    for (const char* bad : {"abc", "", "-1", "12x", "18446744073709551616"}) {
+      SeededCloud seeded;
+      net::HttpRequest req = seeded.request(probe.method, probe.path);
+      req.body = probe.body;
+      req.headers[net::kSimTimeHeader] = bad;
+      SCOPED_TRACE(std::string(net::to_string(probe.method)) + " " +
+                   probe.path + " sim time '" + bad + "'");
+      const telemetry::LabelSet refused = {
+          {"method", net::to_string(probe.method)},
+          {"route", "<bad-request>"},
+          {"status", "400"}};
+      const std::uint64_t refused_before =
+          telemetry::registry().counter_value("cloud_requests_total", refused);
+      const std::uint64_t before = seeded.digest();
+      EXPECT_EQ(seeded.cloud.router().handle(req).status,
+                net::kStatusBadRequest);
+      EXPECT_EQ(seeded.digest(), before);
+      EXPECT_EQ(
+          telemetry::registry().counter_value("cloud_requests_total", refused),
+          refused_before + 1);
+    }
+  }
+}
+
 TEST(TotalDecoding, MalformedContactsBatchAppliesNothingSoReplayStoresAll) {
   SeededCloud seeded(/*with_data=*/false);
   const core::EncounterEntry first{5, 7, hours(9), hours(10)};

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+
+#include "telemetry/metrics.hpp"
 
 namespace pmware::study {
 namespace {
@@ -84,16 +87,58 @@ TEST(Study, DeterministicForSameSeed) {
             rb.total(DiscoveredOutcome::Correct));
 }
 
+/// Fleet total of every pms_* counter family in the registry.
+std::map<std::string, std::uint64_t> pms_family_totals() {
+  std::map<std::string, std::uint64_t> totals;
+  const auto& reg = telemetry::registry();
+  for (const auto& [name, family] : reg.families())
+    if (name.starts_with("pms_")) totals[name] = reg.family_total(name);
+  return totals;
+}
+
+/// A study's results plus what it added to each pms_* counter family.
+struct StudyRun {
+  StudyResult result;
+  std::map<std::string, std::uint64_t> pms_totals;
+
+  std::uint64_t total(const std::string& family) const {
+    const auto it = pms_totals.find(family);
+    return it == pms_totals.end() ? 0 : it->second;
+  }
+};
+
+StudyRun run_study(const StudyConfig& config) {
+  const auto before = pms_family_totals();
+  StudyRun run{DeploymentStudy(config).run(), pms_family_totals()};
+  for (auto& [family, total] : run.pms_totals) {
+    const auto it = before.find(family);
+    if (it != before.end()) total -= it->second;
+  }
+  return run;
+}
+
 /// Byte-identical comparison of two study runs: every per-participant
-/// field, the place map, and the cloud storage's post-join fingerprint.
-/// `what` names the run under test in failure output. Pass
-/// `network_counters = false` when one run saw injected faults: retries,
-/// offload fallbacks, and re-sent profiles legitimately change the traffic
-/// counters, while science results and final cloud bytes must still match.
-void expect_identical_runs(const StudyResult& rs, const StudyResult& rp,
+/// field, the place map, the cloud storage's post-join fingerprint, and the
+/// fleet totals of the PMS event and sync counters. `what` names the run
+/// under test in failure output. Pass `network_counters = false` when one
+/// run saw injected faults: retries, offload fallbacks, and re-sent profiles
+/// legitimately change the traffic counters, while science results and
+/// final cloud bytes must still match.
+void expect_identical_runs(const StudyRun& run_s, const StudyRun& run_p,
                            const std::string& what,
                            bool network_counters = true) {
   SCOPED_TRACE(what);
+  for (const char* family : {"pms_place_events_total", "pms_route_events_total",
+                             "pms_encounters_total"})
+    EXPECT_EQ(run_s.total(family), run_p.total(family)) << family;
+  if (network_counters) {
+    for (const char* family :
+         {"pms_profile_syncs_total", "pms_token_refreshes_total",
+          "pms_gca_offloads_total", "pms_gca_local_total"})
+      EXPECT_EQ(run_s.total(family), run_p.total(family)) << family;
+  }
+  const StudyResult& rs = run_s.result;
+  const StudyResult& rp = run_p.result;
   ASSERT_EQ(rs.participants.size(), rp.participants.size());
   for (std::size_t i = 0; i < rs.participants.size(); ++i) {
     const ParticipantResult& a = rs.participants[i];
@@ -107,18 +152,6 @@ void expect_identical_runs(const StudyResult& rs, const StudyResult& rp,
     EXPECT_EQ(a.ad_dislikes, b.ad_dislikes);
     EXPECT_EQ(a.sensing_joules, b.sensing_joules);  // bitwise, not approx
     EXPECT_EQ(a.implied_battery_hours, b.implied_battery_hours);
-    EXPECT_EQ(a.pms_stats.place_events_delivered,
-              b.pms_stats.place_events_delivered);
-    EXPECT_EQ(a.pms_stats.route_events_delivered,
-              b.pms_stats.route_events_delivered);
-    EXPECT_EQ(a.pms_stats.encounters_delivered,
-              b.pms_stats.encounters_delivered);
-    if (network_counters) {
-      EXPECT_EQ(a.pms_stats.profile_syncs, b.pms_stats.profile_syncs);
-      EXPECT_EQ(a.pms_stats.token_refreshes, b.pms_stats.token_refreshes);
-      EXPECT_EQ(a.pms_stats.gca_offloads, b.pms_stats.gca_offloads);
-      EXPECT_EQ(a.pms_stats.gca_local_runs, b.pms_stats.gca_local_runs);
-    }
   }
   ASSERT_EQ(rs.place_map.size(), rp.place_map.size());
   for (std::size_t i = 0; i < rs.place_map.size(); ++i) {
@@ -142,8 +175,8 @@ TEST(Study, ThreadedRunMatchesSequentialExactly) {
   sequential_config.threads = 1;
   StudyConfig parallel_config = small_config();
   parallel_config.threads = 4;
-  const StudyResult rs = DeploymentStudy(sequential_config).run();
-  const StudyResult rp = DeploymentStudy(parallel_config).run();
+  const StudyRun rs = run_study(sequential_config);
+  const StudyRun rp = run_study(parallel_config);
   expect_identical_runs(rs, rp, "threads=4 vs threads=1");
 }
 
@@ -158,10 +191,10 @@ TEST(Study, ShardCountNeverChangesResults) {
   base.days = 14;
   base.shards = 1;
   base.threads = 1;
-  const StudyResult baseline = DeploymentStudy(base).run();
-  EXPECT_GT(baseline.storage_stats.users, 0u);
-  EXPECT_GT(baseline.storage_stats.profiles, 0u);
-  EXPECT_NE(baseline.storage_digest, 0u);
+  const StudyRun baseline = run_study(base);
+  EXPECT_GT(baseline.result.storage_stats.users, 0u);
+  EXPECT_GT(baseline.result.storage_stats.profiles, 0u);
+  EXPECT_NE(baseline.result.storage_digest, 0u);
 
   for (const int shards : {1, 4, 16}) {
     for (const int threads : {1, 8}) {
@@ -169,7 +202,7 @@ TEST(Study, ShardCountNeverChangesResults) {
       StudyConfig config = base;
       config.shards = shards;
       config.threads = threads;
-      const StudyResult run = DeploymentStudy(config).run();
+      const StudyRun run = run_study(config);
       expect_identical_runs(baseline, run,
                             "shards=" + std::to_string(shards) +
                                 " threads=" + std::to_string(threads) +
@@ -187,8 +220,8 @@ TEST(Study, OutageRecoveryMatchesNoFaultRun) {
   StudyConfig base = small_config();
   base.participants = 3;
   base.days = 14;
-  const StudyResult baseline = DeploymentStudy(base).run();
-  EXPECT_NE(baseline.storage_digest, 0u);
+  const StudyRun baseline = run_study(base);
+  EXPECT_NE(baseline.result.storage_digest, 0u);
 
   const struct {
     const char* name;
@@ -201,18 +234,18 @@ TEST(Study, OutageRecoveryMatchesNoFaultRun) {
   for (const auto& scenario : kScenarios) {
     StudyConfig faulted = base;
     faulted.fault_plan = net::FaultPlan::parse(scenario.plan);
-    const StudyResult run = DeploymentStudy(faulted).run();
+    const StudyRun run = run_study(faulted);
     expect_identical_runs(baseline, run,
                           std::string(scenario.name) + " vs no faults",
                           /*network_counters=*/false);
-    std::size_t sync_failures = 0, pending = 0;
-    for (const ParticipantResult& p : run.participants) {
-      sync_failures += p.pms_stats.sync_failures;
-      pending += p.pms_stats.outbox_pending;
-    }
     SCOPED_TRACE(scenario.name);
-    EXPECT_GT(sync_failures, 0u);  // the plan actually bit
-    EXPECT_EQ(pending, 0u);        // ...and everything drained
+    // The plan actually bit...
+    EXPECT_GT(run.total("pms_sync_failures_total"), 0u);
+    // ...and everything drained: enqueued = delivered + evicted + dropped.
+    EXPECT_EQ(run.total("pms_outbox_enqueued_total"),
+              run.total("pms_outbox_delivered_total") +
+                  run.total("pms_outbox_evicted_total") +
+                  run.total("pms_outbox_dropped_total"));
   }
 }
 
