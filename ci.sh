@@ -120,9 +120,10 @@ run_suite build-werror "-LE ScienceBands" -DPMWARE_WERROR=ON "$@"
 run_suite build-asan "-LE ScienceBands" -DPMWARE_SANITIZE="address;undefined" "$@"
 # tsan cannot combine with asan; a third build runs just the tests that
 # exercise threads (everything else is single-threaded by design). The
-# Caching label rides along: the content caches sit on the concurrent
-# request path (shared shard write marks, per-cache mutexes). SchedulerPerf
-# races the batched dispatch loop and the device env cache under tsan.
+# Caching label rides along: conditional transfer is concurrent (the
+# client cache's mutex, and the sharded request path it revalidates
+# against). SchedulerPerf races the batched dispatch loop and the device
+# env cache under tsan.
 # Concurrency races the striped-counter / sharded-histogram / handle hot
 # paths; Alerting races the recorder + engine through the parallel study's
 # determinism guard. Population races the streaming wave scheduler's

@@ -306,8 +306,7 @@ int main(int argc, char** argv) {
     return c ? static_cast<unsigned long long>(c->value()) : 0;
   };
   std::printf("\n--- caching (%s) ---\n", config.cache ? "on" : "off");
-  for (const char* cache :
-       {"pms_gca", "cloud_analytics", "net_conditional"}) {
+  for (const char* cache : {"pms_gca", "net_conditional"}) {
     std::printf("  %-16s local_hit %llu, cloud_hit %llu, recompute %llu, "
                 "miss %llu\n",
                 cache, outcome_total(cache, "local_hit"),

@@ -71,48 +71,6 @@ std::uint64_t user_digest(const UserStore& store) {
 CloudStorage::CloudStorage(std::size_t shards)
     : shards_(std::max<std::size_t>(shards, 1)) {}
 
-CloudStorage::CloudStorage(const CloudStorage& other)
-    : shards_(other.shard_count()) {
-  const auto locks = other.lock_all();
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].users = other.shards_[s].users;
-    shards_[s].tombstones = other.shards_[s].tombstones;
-  }
-  archived_.copy_from(other.archived_);
-}
-
-CloudStorage& CloudStorage::operator=(const CloudStorage& other) {
-  if (this == &other) return *this;
-  // Copy out under the source's locks, then redistribute into this
-  // storage's shard layout (the counts may differ).
-  std::map<world::DeviceId, UserStore> users;
-  std::map<world::DeviceId, std::uint64_t> tombstones;
-  {
-    const auto locks = other.lock_all();
-    for (const Shard& shard : other.shards_) {
-      for (const auto& [id, store] : shard.users) users[id] = store;
-      for (const auto& [id, session] : shard.tombstones)
-        tombstones[id] = session;
-    }
-  }
-  const auto locks = lock_all();
-  for (Shard& shard : shards_) {
-    shard.users.clear();
-    shard.tombstones.clear();
-  }
-  for (auto& [id, store] : users)
-    shards_[shard_of(id)].users[id] = std::move(store);
-  for (const auto& [id, session] : tombstones)
-    shards_[shard_of(id)].tombstones[id] = session;
-  // Wholesale replacement mutates every shard: advance the write marks so
-  // analytics cache entries tagged against the old content can never
-  // validate against the new.
-  for (Shard& shard : shards_)
-    shard.writes.fetch_add(1, std::memory_order_release);
-  archived_.copy_from(other.archived_);
-  return *this;
-}
-
 std::size_t CloudStorage::shard_of(world::DeviceId id) const {
   return static_cast<std::size_t>(splitmix64(id) % shards_.size());
 }
@@ -196,7 +154,6 @@ std::uint64_t CloudStorage::content_digest() const {
 }
 
 bool CloudStorage::archive_user(world::DeviceId id) {
-  bool archived = false;
   {
     const std::size_t s = shard_of(id);
     const auto lock = lock_shard(s);
@@ -214,14 +171,12 @@ bool CloudStorage::archive_user(world::DeviceId id) {
                                    std::memory_order_relaxed);
     archived_.digest.fetch_add(user_digest(store), std::memory_order_relaxed);
     users.erase(it);
-    archived = true;
   }
-  note_write(id);
   telemetry::registry()
       .counter("cloud_users_archived_total", {},
                "users retired into the archived accumulators")
       .inc();
-  return archived;
+  return true;
 }
 
 bool CloudStorage::erase_user(world::DeviceId id, std::uint64_t wipe_session) {
@@ -237,7 +192,6 @@ bool CloudStorage::erase_user(world::DeviceId id, std::uint64_t wipe_session) {
       tombstone = std::max(tombstone, wipe_session);
     }
   }
-  if (erased || tombstoned) note_write(id);
   if (tombstoned)
     telemetry::registry()
         .counter("cloud_wipe_tombstones_total", {},
@@ -262,24 +216,20 @@ std::uint64_t CloudStorage::tombstone_session(world::DeviceId id) const {
 }
 
 bool CloudStorage::erase_place(world::DeviceId id, core::PlaceUid place) {
-  bool existed = false;
-  {
-    const std::size_t s = shard_of(id);
-    const auto lock = lock_shard(s);
-    auto& users = shards_[s].users;
-    const auto it = users.find(id);
-    if (it == users.end()) return false;
-    existed = it->second.places.erase(place) > 0;
-    for (auto& [day, profile] : it->second.profiles) {
-      std::erase_if(profile.places, [place](const core::PlaceVisitEntry& e) {
-        return e.place == place;
-      });
-    }
-    std::erase_if(it->second.encounters, [place](const core::EncounterEntry& e) {
+  const std::size_t s = shard_of(id);
+  const auto lock = lock_shard(s);
+  auto& users = shards_[s].users;
+  const auto it = users.find(id);
+  if (it == users.end()) return false;
+  const bool existed = it->second.places.erase(place) > 0;
+  for (auto& [day, profile] : it->second.profiles) {
+    std::erase_if(profile.places, [place](const core::PlaceVisitEntry& e) {
       return e.place == place;
     });
   }
-  note_write(id);
+  std::erase_if(it->second.encounters, [place](const core::EncounterEntry& e) {
+    return e.place == place;
+  });
   return existed;
 }
 

@@ -7,7 +7,7 @@
 //  * The user space is split into N shards by `shard_of(id)`; each shard
 //    owns its user map plus its own mutex. A per-user operation takes
 //    exactly one shard lock (locked_user / with_user / erase_user / ...).
-//  * Cross-user operations (stats, content_digest, copies) take the
+//  * Cross-user operations (stats, content_digest) take the
 //    all-shards snapshot path: every shard lock in ascending shard order,
 //    released together. Lock ordering rule: never take a second shard lock
 //    while holding one — per-user ops hold one, snapshot ops take all
@@ -66,12 +66,6 @@ class CloudStorage {
 
   explicit CloudStorage(std::size_t shards = kDefaultShards);
 
-  /// Copies move the user data, not the mutexes; the destination keeps its
-  /// own shard count and redistributes (tests assign prebuilt fixtures into
-  /// live instances).
-  CloudStorage(const CloudStorage& other);
-  CloudStorage& operator=(const CloudStorage& other);
-
   std::size_t shard_count() const { return shards_.size(); }
 
   /// Owning shard of `id`: mix(id) % shard_count. The mix is a fixed
@@ -113,10 +107,6 @@ class CloudStorage {
   /// Unsynchronized accessors for single-threaded callers (tests, examples,
   /// analytics fixtures). Never used on the concurrent request path.
   UserStore& user(world::DeviceId id) {
-    // Possibly mutating (tests build fixtures through it), so count it
-    // toward the shard's write mark — a stale analytics cache entry is
-    // worse than a spurious invalidation.
-    note_write(id);
     return shards_[shard_of(id)].users[id];
   }
   const UserStore* find_user(world::DeviceId id) const {
@@ -146,22 +136,6 @@ class CloudStorage {
   /// combine commutatively, so the digest is invariant under shard count
   /// and registration order — the study's determinism fingerprint.
   std::uint64_t content_digest() const;
-
-  /// Write high-water mark of the shard owning `id` — the version every
-  /// cloud-side analytics cache entry for this shard's users is tagged
-  /// with. Mutating REST handlers bump it AFTER their write completes
-  /// (note_write), so any cache entry tagged with a mark that includes the
-  /// bump was computed after the write landed; entries computed mid-write
-  /// carry the pre-bump mark and miss on the next lookup.
-  std::uint64_t write_mark(world::DeviceId id) const {
-    return shards_[shard_of(id)].writes.load(std::memory_order_acquire);
-  }
-  /// Records a completed mutation of `id`'s shard. Call after the write,
-  /// either still holding the shard lock (readers sampling the new mark
-  /// then serialize behind the lock) or after releasing it.
-  void note_write(world::DeviceId id) const {
-    shards_[shard_of(id)].writes.fetch_add(1, std::memory_order_release);
-  }
 
   /// Deletes everything stored for `id` (privacy wipe, paper §6 future
   /// work), including its GCA state. Returns true if the user had any data.
@@ -226,9 +200,6 @@ class CloudStorage {
     /// erase_user). Kept outside `users` so erasing the store does not
     /// erase the fence.
     std::map<world::DeviceId, std::uint64_t> tombstones;
-    /// Monotonic completed-write counter (see write_mark); mutable so the
-    /// const bookkeeping accessors work, like the mutex above.
-    mutable std::atomic<std::uint64_t> writes{0};
   };
 
   /// Accumulators for archived (retired) users, folded into stats() and
@@ -241,21 +212,6 @@ class CloudStorage {
     std::atomic<std::uint64_t> routes{0};
     std::atomic<std::uint64_t> encounters{0};
     std::atomic<std::uint64_t> digest{0};  ///< sum of per-user digests
-
-    void copy_from(const Archived& o) {
-      users.store(o.users.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-      places.store(o.places.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-      profiles.store(o.profiles.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-      routes.store(o.routes.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-      encounters.store(o.encounters.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-      digest.store(o.digest.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-    }
   };
 
   /// Locks one shard, recording the per-shard request counter and the

@@ -372,7 +372,7 @@ std::size_t InferenceEngine::recluster(SimTime now) {
                "recluster passes (local or offloaded)")
       .inc();
   const algorithms::GcaResult result =
-      gca_runner_ ? gca_runner_(gsm_log_) : gca_state_.run(gsm_log_);
+      gca_runner_ ? gca_runner_(gsm_log_) : cluster_locally(gsm_log_);
 
   std::size_t new_places = 0;
   cluster_to_uid_.clear();

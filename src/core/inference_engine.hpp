@@ -129,6 +129,15 @@ class InferenceEngine {
   /// places discovered this pass. Returns the number of new places.
   std::size_t recluster(SimTime now);
 
+  /// One GCA pass on the device through the engine's incremental state:
+  /// recluster's default when no runner is set, and the PMS's fallback
+  /// when an offload fails. `observations` must extend the log of the
+  /// previous pass (GcaState::run's contract; anything else rebuilds).
+  algorithms::GcaResult cluster_locally(
+      std::span<const algorithms::CellObservation> observations) {
+    return gca_state_.run(observations);
+  }
+
   /// Authoritative visit log (GSM visits refined by WiFi), filtered to
   /// min_visit_dwell. Valid after recluster().
   const VisitLog& visit_log() const { return visit_log_; }
@@ -226,9 +235,9 @@ class InferenceEngine {
 
   // --- GSM / GCA state ---
   ObsLog gsm_log_;
-  /// Persistent incremental clustering state for local (non-offloaded)
-  /// recluster passes; gsm_log_ is append-only, which is exactly the
-  /// contract GcaState::run needs.
+  /// Persistent incremental clustering state for every pass clustered on
+  /// the device (cluster_locally); gsm_log_ is append-only, which is
+  /// exactly the contract GcaState::run needs.
   algorithms::GcaState gca_state_;
   std::optional<algorithms::CellVisitTracker> cell_tracker_;
   std::map<std::size_t, PlaceUid> cluster_to_uid_;  ///< cluster idx -> uid

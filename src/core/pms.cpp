@@ -98,7 +98,6 @@ PmwareMobileService::PmwareMobileService(
       apps_(&preferences_),
       engine_(device_.get(), &scheduler_, &place_store_, &apps_,
               config_.inference, rng.fork(1)),
-      local_gca_(config_.inference.gca),
       client_(std::move(client)),
       instance_(telemetry::registry().next_instance_label("pms")),
       outbox_(config_.outbox) {
@@ -301,7 +300,7 @@ algorithms::GcaResult PmwareMobileService::offloaded_gca(
   }
   counter(kGcaLocal, "GCA clustering passes run on-device").inc();
   telemetry::Span span(telemetry::tracer(), "pms.gca_local", now);
-  algorithms::GcaResult result = local_gca_.run(observations);
+  algorithms::GcaResult result = engine_.cluster_locally(observations);
   if (config_.cache) {
     // Only passes clustered on the device count as a miss or a recompute.
     cache::record_outcome(kGcaCacheName, gca_memo_

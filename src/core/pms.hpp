@@ -218,9 +218,6 @@ class PmwareMobileService {
   PlaceStore place_store_;
   IntentBus bus_;
   InferenceEngine engine_;
-  /// Incremental clustering state for local (offload-disabled or offload-
-  /// failed) GCA passes; fed the engine's append-only GSM log each pass.
-  algorithms::GcaState local_gca_;
   /// Used iff config_.cache: the last GCA result and the movement-graph
   /// digest it was clustered from.
   std::optional<std::pair<std::uint64_t, algorithms::GcaResult>> gca_memo_;

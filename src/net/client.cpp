@@ -147,11 +147,8 @@ HttpResponse RestClient::send(const HttpRequest& request, int max_retries) {
   if (conditional) {
     cache_key = outgoing.path;
     for (const auto& [k, v] : outgoing.query) cache_key += "&" + k + "=" + v;
-    auto found = conditional_cache_->lookup(cache_key, 0);
-    if (found.value) {
-      remembered = std::move(found.value);
-      outgoing.headers[kIfNoneMatchHeader] = remembered->etag;
-    }
+    remembered = conditional_cache_->lookup(cache_key);
+    if (remembered) outgoing.headers[kIfNoneMatchHeader] = remembered->etag;
   }
 
   // A half-open breaker admits exactly one probe: no retries, so a dead
@@ -231,7 +228,7 @@ HttpResponse RestClient::send(const HttpRequest& request, int max_retries) {
         // whose tag no longer validates means the content changed upstream.
         conditional_cache_->record(remembered ? cache::CacheOutcome::Recompute
                                               : cache::CacheOutcome::Miss);
-        conditional_cache_->put(cache_key, {etag->second, response.body}, 0);
+        conditional_cache_->put(cache_key, {etag->second, response.body});
       }
     }
   }

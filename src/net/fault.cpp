@@ -28,12 +28,7 @@ double fault_roll(std::uint64_t seed, const HttpRequest& request,
   h = splitmix64(h ^ static_cast<std::uint64_t>(request.sim_time()));
   h = splitmix64(h ^ fnv1a(gpath));
   h = splitmix64(h ^ fnv1a(request.body.dump()));
-  const auto it = request.headers.find(kAttemptHeader);
-  const std::uint64_t attempt =
-      it == request.headers.end()
-          ? 0
-          : static_cast<std::uint64_t>(std::atoll(it->second.c_str()));
-  h = splitmix64(h ^ attempt);
+  h = splitmix64(h ^ request.attempt());
   h = splitmix64(h ^ static_cast<std::uint64_t>(rule_index));
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }

@@ -76,6 +76,15 @@ struct HttpRequest {
                                : decimal<SimTime>(it->second, kSimTimeHeader);
   }
 
+  /// The client's retry counter (0 if absent); JsonError when the header is
+  /// present but not a decimal() count.
+  std::uint64_t attempt() const {
+    const auto it = headers.find(kAttemptHeader);
+    return it == headers.end()
+               ? 0
+               : decimal<std::uint64_t>(it->second, kAttemptHeader);
+  }
+
   /// Stamps the trace-context headers from `ctx`; no-op when invalid.
   void set_trace_context(const telemetry::TraceContext& ctx) {
     if (!ctx.valid()) return;

@@ -92,11 +92,13 @@ HttpResponse Router::handle(const HttpRequest& request) const {
   };
 
   // Everything below reads the caller's clock (the fault injector rolls on
-  // it, handlers stamp writes with it), so a present-but-malformed
-  // X-Sim-Time is refused before any of it runs.
+  // it, handlers stamp writes with it) and the injector rolls on the retry
+  // counter, so a present-but-malformed X-Sim-Time or X-PMWare-Attempt is
+  // refused before any of it runs.
   SimTime sim_now = 0;
   try {
     sim_now = request.sim_time();
+    request.attempt();
   } catch (const JsonError& e) {
     observe("<bad-request>", kStatusBadRequest);
     return HttpResponse::error(kStatusBadRequest, e.what());

@@ -8,10 +8,9 @@
 namespace pmware::cloud {
 namespace {
 
-/// Storage pre-loaded with a regular week: home (1) -> work (2) -> cafe (3)
-/// -> home, weekdays only; weekends at home then park (4).
-CloudStorage regular_fortnight() {
-  CloudStorage storage;
+/// Loads user 1 of `storage` with a regular fortnight: home (1) -> work (2)
+/// -> cafe (3) -> home on weekdays; weekends at home then park (4).
+void fill_regular_fortnight(CloudStorage& storage) {
   for (int day = 0; day < 14; ++day) {
     core::MobilityProfile profile;
     profile.user = 1;
@@ -32,11 +31,11 @@ CloudStorage regular_fortnight() {
     }
     storage.user(1).profiles[day] = std::move(profile);
   }
-  return storage;
 }
 
 TEST(AnalyticsExt, TypicalDepartureFromHomeMorning) {
-  const CloudStorage storage = regular_fortnight();
+  CloudStorage storage;
+  fill_regular_fortnight(storage);
   const AnalyticsEngine analytics(&storage);
   const auto tod = analytics.typical_departure_tod(
       1, 1, DailyWindow{hours(5), hours(12)});
@@ -49,7 +48,8 @@ TEST(AnalyticsExt, TypicalDepartureFromHomeMorning) {
 }
 
 TEST(AnalyticsExt, DepartureIgnoresMidnightTruncation) {
-  const CloudStorage storage = regular_fortnight();
+  CloudStorage storage;
+  fill_regular_fortnight(storage);
   const AnalyticsEngine analytics(&storage);
   // Home "departures" at exactly 24:00 are day-profile truncation, not real
   // departures; an all-day window must not be polluted by them.
@@ -66,7 +66,8 @@ TEST(AnalyticsExt, DepartureWithoutDataIsNull) {
 }
 
 TEST(AnalyticsExt, NextPlaceFromWorkIsCafe) {
-  const CloudStorage storage = regular_fortnight();
+  CloudStorage storage;
+  fill_regular_fortnight(storage);
   const AnalyticsEngine analytics(&storage);
   const auto next = analytics.predict_next_place(1, 2);
   ASSERT_TRUE(next.has_value());
@@ -75,7 +76,8 @@ TEST(AnalyticsExt, NextPlaceFromWorkIsCafe) {
 }
 
 TEST(AnalyticsExt, NextPlaceFromHomeIsWeightedByDayMix) {
-  const CloudStorage storage = regular_fortnight();
+  CloudStorage storage;
+  fill_regular_fortnight(storage);
   const AnalyticsEngine analytics(&storage);
   const auto next = analytics.predict_next_place(1, 1);
   ASSERT_TRUE(next.has_value());
@@ -85,7 +87,8 @@ TEST(AnalyticsExt, NextPlaceFromHomeIsWeightedByDayMix) {
 }
 
 TEST(AnalyticsExt, NextPlaceUnknownCurrentIsNull) {
-  const CloudStorage storage = regular_fortnight();
+  CloudStorage storage;
+  fill_regular_fortnight(storage);
   const AnalyticsEngine analytics(&storage);
   EXPECT_FALSE(analytics.predict_next_place(1, 77).has_value());
   EXPECT_FALSE(analytics.predict_next_place(9, 1).has_value());
@@ -115,7 +118,7 @@ TEST(AnalyticsExt, EndpointsServeDepartureAndNextPlace) {
   reg.body.set("imei", "1");
   reg.body.set("email", "a@b");
   const auto token = cloud.router().handle(reg).body.at("token").as_string();
-  cloud.storage() = regular_fortnight();
+  fill_regular_fortnight(cloud.storage());
 
   auto get = [&](const std::string& path) {
     net::HttpRequest req;

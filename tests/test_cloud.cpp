@@ -704,20 +704,6 @@ TEST(ShardedStorage, DigestAndStatsInvariantUnderShardCount) {
   EXPECT_NE(one.content_digest(), 0u);
 }
 
-TEST(ShardedStorage, CopyAssignRedistributesAcrossLayouts) {
-  CloudStorage source(1);
-  seed_storage(source, 20);
-  CloudStorage dest(16);
-  dest = source;  // the fixture-injection path used by analytics tests
-  EXPECT_EQ(dest.shard_count(), 16u);
-  EXPECT_EQ(dest.stats(), source.stats());
-  EXPECT_EQ(dest.content_digest(), source.content_digest());
-  // Copies are independent.
-  dest.erase_user(3);
-  EXPECT_NE(dest.stats(), source.stats());
-  EXPECT_NE(source.find_user(3), nullptr);
-}
-
 TEST_F(CloudFixture, MetricsExposeShardTelemetry) {
   register_device();
   // A per-user write routes through the owning shard's lock, which records
