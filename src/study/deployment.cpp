@@ -407,7 +407,6 @@ StudyResult DeploymentStudy::run() {
   cloud::CloudConfig cloud_config;
   cloud_config.shards = static_cast<std::size_t>(std::max(config_.shards, 1));
   cloud_config.fault_plan = config_.fault_plan;
-  cloud_config.cache = config_.cache;
   cloud::CloudInstance cloud(cloud_config, std::move(geoloc), rng_.fork(3));
 
   const int total = std::max(config_.participants, 0);
