@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "algorithms/signature.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/simtime.hpp"
 #include "world/ids.hpp"
 
@@ -57,9 +58,18 @@ struct CellObservation {
 /// The undirected weighted movement graph.
 class MovementGraph {
  public:
-  /// Feeds the next serving-cell observation (must be time-ordered).
-  /// Uses `config.max_transition_gap` and `config.oscillation_window`.
-  void observe(const CellObservation& obs, const GcaConfig& config);
+  /// Feeds the next observations (must be time-ordered; throws
+  /// std::invalid_argument otherwise). Uses `config.max_transition_gap` and
+  /// `config.oscillation_window`. Works one serving-cell run at a time: only
+  /// a run's first reading can be a transition, so the rest of the run adds
+  /// its short gaps to the cell's dwell in one step and a long gap breaks
+  /// the bounce chain.
+  void feed(std::span<const CellObservation> observations,
+            const GcaConfig& config);
+  /// Feeds one observation (a run of length one).
+  void observe(const CellObservation& obs, const GcaConfig& config) {
+    feed({&obs, 1}, config);
+  }
 
   const std::map<world::CellId, SimDuration>& dwell() const { return dwell_; }
   /// Raw transition counts per unordered cell pair.
@@ -81,6 +91,8 @@ class MovementGraph {
     world::CellId to;
     SimTime t = 0;
   };
+
+  void feed_run(std::span<const CellObservation> run, const GcaConfig& config);
 
   std::optional<CellObservation> last_;
   std::optional<Transition> last_transition_;
@@ -132,21 +144,40 @@ class CellVisitTracker {
   /// Feeds one observation; returns zero or more arrival/departure events.
   std::vector<Event> observe(const CellObservation& obs);
 
+  /// Feeds time-ordered observations and appends their events to `out`,
+  /// exactly as observe() on each in turn would. The cluster is constant
+  /// within a serving-cell run, so a run costs at most three steps: its
+  /// first reading, the first reading past `visit_gap_tolerance` when the
+  /// run leaves the current visit, and its last reading.
+  void feed(std::span<const CellObservation> observations,
+            std::vector<Event>& out);
+
   /// Flushes any open visit at end of stream.
   std::vector<Event> finish(SimTime t);
+
+  /// The departure finish(t) would emit, leaving the visit open.
+  std::optional<Event> pending_departure(SimTime t) const;
 
   /// Place currently occupied, if any.
   std::optional<std::size_t> current_place() const { return current_; }
 
+  const std::map<world::CellId, std::size_t>& cell_to_place() const {
+    return cell_to_place_;
+  }
+
  private:
+  void feed_run(std::span<const CellObservation> run, std::vector<Event>& out);
+  /// The one state transition: a reading at `t` whose cell belongs to
+  /// `cluster` (nullopt: no place).
+  void step(SimTime t, std::optional<std::size_t> cluster,
+            std::vector<Event>& out);
+
   std::map<world::CellId, std::size_t> cell_to_place_;
   GcaConfig config_;
   std::optional<std::size_t> current_;
   SimTime start_ = 0;
   SimTime last_in_ = 0;
   bool announced_ = false;
-
-  std::vector<Event> close_if_needed(SimTime t);
 };
 
 /// Incremental GCA: persistent clustering state across recluster passes.
@@ -159,7 +190,8 @@ class CellVisitTracker {
 /// cell→place mapping is unchanged since the last pass; when clustering
 /// shifts the mapping (new place discovered, clusters merged) the tracker
 /// falls back to an exact full replay, so every pass returns byte-identical
-/// results to a from-scratch run_gca() over the same log.
+/// results to a from-scratch run_gca() over the same log. Both the feed and
+/// the replay cost O(serving-cell runs) in map work, not O(observations).
 ///
 /// Not thread-safe; each owner (inference engine, per-user cloud state)
 /// keeps its own instance.
@@ -184,15 +216,17 @@ class GcaState {
   MovementGraph graph_;
   std::size_t fed_ = 0;      ///< observations already in the graph
   SimTime last_fed_t_ = 0;   ///< timestamp of the last fed observation
-  /// Cell→place mapping of the previous pass; the visit tracker continues
-  /// incrementally only while it is unchanged.
-  std::map<world::CellId, std::size_t> mapping_;
+  /// Replays the log against the previous pass's cell→place mapping; it
+  /// continues incrementally only while that mapping is unchanged.
   std::optional<CellVisitTracker> tracker_;
   /// Arrival/departure events accumulated by the persistent tracker.
   std::vector<CellVisitTracker::Event> events_;
   std::size_t passes_ = 0;
   std::size_t incremental_passes_ = 0;
   bool last_incremental_ = false;
+  telemetry::CounterHandle incremental_total_{
+      "core_recluster_incremental_total", {},
+      "recluster passes that reused graph and visit state"};
 };
 
 }  // namespace pmware::algorithms
