@@ -399,12 +399,18 @@ TEST_F(ConditionalFixture, CacheOffRecomputesEveryDiscover) {
   std::vector<algorithms::CellObservation> observations;
   for (int m = 0; m < 120; ++m)
     observations.push_back({minutes(m), cell(m % 2 == 0 ? 10 : 11)});
+  const auto user = static_cast<world::DeviceId>(std::stoul(user_));
   std::string body;
-  for (int round = 0; round < 3; ++round) {
+  for (std::size_t round = 0; round < 3; ++round) {
     HttpRequest req = request(Method::Post, "/api/places/discover");
     req.body = core::discover_request_to_json(observations, std::nullopt);
     const HttpResponse res = client_->send(req);
     ASSERT_EQ(res.status, net::kStatusOk);
+    // Each identical POST ran one more pass over the user's retained GCA
+    // state: nothing answered it from a stored result.
+    const cloud::UserStore* store = cloud_->storage().find_user(user);
+    ASSERT_NE(store, nullptr);
+    EXPECT_EQ(store->gca.passes(), round + 1);
     if (body.empty())
       body = res.body.dump();
     else
