@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -58,13 +59,21 @@ CellId cell(std::uint32_t cid) {
 }
 
 /// Synthetic day pattern: home oscillation, commute chain, work oscillation.
-std::vector<algorithms::CellObservation> make_log(int days_n, Rng& rng) {
+/// Each serving cell holds for 1..`max_hold` one-minute readings; a phone
+/// holds one for several minutes (~250 runs a day); 1 draws a fresh cell
+/// for every reading.
+std::vector<algorithms::CellObservation> make_log(int days_n, Rng& rng,
+                                                  std::size_t max_hold = 1) {
   std::vector<algorithms::CellObservation> log;
   SimTime t = 0;
   auto dwell = [&](std::initializer_list<std::uint32_t> cells, SimDuration d) {
     std::vector<std::uint32_t> v(cells);
-    for (SimDuration e = 0; e < d; e += 60, t += 60)
-      log.push_back({t, cell(v[rng.index(v.size())])});
+    for (SimDuration e = 0; e < d;) {
+      const CellId c = cell(v[rng.index(v.size())]);
+      const std::size_t hold = max_hold > 1 ? 1 + rng.index(max_hold) : 1;
+      for (std::size_t i = 0; i < hold && e < d; ++i, e += 60, t += 60)
+        log.push_back({t, c});
+    }
   };
   auto travel = [&](std::initializer_list<std::uint32_t> chain) {
     for (std::uint32_t c : chain) {
@@ -92,6 +101,22 @@ void BM_RunGca(benchmark::State& state) {
                           static_cast<std::int64_t>(log.size()));
 }
 BENCHMARK(BM_RunGca)->Arg(1)->Arg(7)->Arg(14)->Unit(benchmark::kMillisecond);
+
+/// The cloud's discover pattern: one GcaState reclustered after each of 14
+/// days over the growing log, most passes incremental. Readings hold their
+/// cell for up to 12 minutes, as a phone's serving cell does.
+void BM_GcaStateDaily(benchmark::State& state) {
+  Rng rng(1);
+  const auto log = make_log(14, rng, 12);
+  const std::size_t per_day = log.size() / 14;
+  for (auto _ : state) {
+    algorithms::GcaState gca;
+    for (std::size_t day = 1; day <= 14; ++day)
+      benchmark::DoNotOptimize(gca.run(std::span(log).first(day * per_day)));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 14);
+}
+BENCHMARK(BM_GcaStateDaily)->Unit(benchmark::kMillisecond);
 
 void BM_Tanimoto(benchmark::State& state) {
   Rng rng(2);
